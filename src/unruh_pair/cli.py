@@ -319,10 +319,12 @@ def emit(meta: dict, columns: dict, fmt: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _hint(cfg: RunConfig, columns: list[str]) -> None:
+def _emit(cfg: RunConfig, columns: dict) -> int:
+    emit(cfg.to_meta(), columns, cfg.format, cfg.out)
     if cfg.gnuplot_hint and cfg.out and cfg.format == "csv":
         cols = ":".join(str(i) for i in range(1, min(len(columns), 3) + 1))
         print(f"# gnuplot: set datafile separator ','; plot '{cfg.out}' using {cols} with lines")
+    return _EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +334,7 @@ def _hint(cfg: RunConfig, columns: list[str]) -> None:
 def _cmd_coeffs(cfg: RunConfig) -> int:
     c = coefficients(_sim_config(cfg))
     cols = {name: [getattr(c, name)] for name in ("a1", "a2", "b1", "b2", "d", "f", "gamma0")}
-    emit(cfg.to_meta(), cols, cfg.format, cfg.out)
-    _hint(cfg, list(cols))
-    return _EXIT_OK
+    return _emit(cfg, cols)
 
 
 def _cmd_evolve(cfg: RunConfig) -> int:
@@ -355,9 +355,7 @@ def _cmd_evolve(cfg: RunConfig) -> int:
         rows["p_ss"].append(s.p_ss)
         rows["re_as"].append(s.c_as.real)
         rows["im_as"].append(s.c_as.imag)
-    emit(cfg.to_meta(), rows, cfg.format, cfg.out)
-    _hint(cfg, list(rows))
-    return _EXIT_OK
+    return _emit(cfg, rows)
 
 
 def _rate_triplet(cfg: RunConfig, with_d: bool):
@@ -389,9 +387,7 @@ def _cmd_rate(cfg: RunConfig) -> int:
         "numerical_without_d": [off[2]],
         "formula_singular": [on[3] or off[3]],
     }
-    emit(cfg.to_meta(), cols, cfg.format, cfg.out)
-    _hint(cfg, list(cols))
-    return _EXIT_OK
+    return _emit(cfg, cols)
 
 
 def _cmd_region(cfg: RunConfig) -> int:
@@ -404,9 +400,7 @@ def _cmd_region(cfg: RunConfig) -> int:
             cols["a_over_omega"].append(mask.accel[i])
             cols["with_d"].append(bool(mask.with_interaction[i, j]))
             cols["without_d"].append(bool(mask.without_interaction[i, j]))
-    emit(cfg.to_meta(), cols, cfg.format, cfg.out)
-    _hint(cfg, list(cols))
-    return _EXIT_OK
+    return _emit(cfg, cols)
 
 
 def _cmd_sweep(cfg: RunConfig) -> int:
@@ -435,24 +429,20 @@ def _cmd_sweep(cfg: RunConfig) -> int:
         "value_with_d": list(result.with_interaction),
         "value_without_d": list(result.without_interaction),
     }
-    emit(cfg.to_meta(), cols, cfg.format, cfg.out)
-    _hint(cfg, list(cols))
-    return _EXIT_OK
+    return _emit(cfg, cols)
 
 
 def _cmd_maxc(cfg: RunConfig) -> int:
     state0 = _initial_state(cfg)
-    c_on, t_on = max_concurrence(state0, coefficients(_sim_config(cfg, True)), cfg.tau_max)
-    c_off, t_off = max_concurrence(state0, coefficients(_sim_config(cfg, False)), cfg.tau_max)
+    sets = [coefficients(_sim_config(cfg, with_d)) for with_d in (True, False)]
+    (c_on, c_off), (t_on, t_off) = max_concurrence(state0, sets, cfg.tau_max)
     cols = {
         "c_max_with_d": [c_on],
         "tau_star_with_d": [t_on],
         "c_max_without_d": [c_off],
         "tau_star_without_d": [t_off],
     }
-    emit(cfg.to_meta(), cols, cfg.format, cfg.out)
-    _hint(cfg, list(cols))
-    return _EXIT_OK
+    return _emit(cfg, cols)
 
 
 def _cmd_steady(cfg: RunConfig) -> int:
@@ -461,9 +451,7 @@ def _cmd_steady(cfg: RunConfig) -> int:
         "p_gg": [s.p_gg], "p_ee": [s.p_ee], "p_aa": [s.p_aa], "p_ss": [s.p_ss],
         "concurrence": [concurrence_x(s).c],
     }
-    emit(cfg.to_meta(), cols, cfg.format, cfg.out)
-    _hint(cfg, list(cols))
-    return _EXIT_OK
+    return _emit(cfg, cols)
 
 
 def _cmd_oracle(cfg: RunConfig) -> int:
@@ -493,8 +481,7 @@ def _cmd_oracle(cfg: RunConfig) -> int:
         worst = max(worst, diff)
         cols["tau"].append(float(taus[k]))
         cols["max_abs_diff"].append(diff)
-    emit(cfg.to_meta(), cols, cfg.format, cfg.out)
-    _hint(cfg, list(cols))
+    _emit(cfg, cols)
     if worst > 1e-8:
         raise NonConvergenceError(
             f"dense integrator deviates from the closed form by {worst:.3e}"

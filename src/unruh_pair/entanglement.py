@@ -123,9 +123,9 @@ def generation_rate_product(coeffs: Coefficients) -> float:
     concurrence is clamped at zero, so a negative value means the state
     simply stays separable.
     """
-    return 4.0 * math.sqrt(coeffs.a2 ** 2 + coeffs.d ** 2) - 4.0 * math.sqrt(
-        max(coeffs.a1 ** 2 - coeffs.b1 ** 2, 0.0)
-    )
+    # sqrt(a1^2 - b1^2) as a product of roots: no overflow at huge a1, no cancellation
+    root = math.sqrt(max(coeffs.a1 - coeffs.b1, 0.0)) * math.sqrt(coeffs.a1 + coeffs.b1)
+    return 4.0 * math.sqrt(coeffs.a2 ** 2 + coeffs.d ** 2) - 4.0 * root
 
 
 def initial_rate_superposition(coeffs: Coefficients, theta: float, phi: float) -> float:

@@ -167,7 +167,8 @@ def spectral_density_cross(lam: float, accel: float, sep: float) -> float:
         )
     base = spectral_density_same(lam, accel)
     psi = _phase_length(accel, sep)
-    denom = sep * math.sqrt(1.0 + (accel * sep) ** 2 / 4.0)
+    t = accel * sep / 2.0
+    denom = sep * (math.sqrt(1.0 + t * t) if t < 1e150 else t)  # may be inf: f -> 0
     if lam == 0.0:
         factor = psi / denom
     else:
@@ -190,16 +191,19 @@ def _phase_length(accel, sep):
     safe_accel = np.where(small, 1.0, accel)
     with np.errstate(invalid="ignore"):
         direct = (2.0 / safe_accel) * np.arcsinh(safe_accel * sep / 2.0)
-    series = sep * (1.0 - u * u / 24.0 + 3.0 * u ** 4 / 640.0)
+    us = np.where(small, u, 0.0)  # the series only where it is used: no overflow
+    series = sep * (1.0 - us * us / 24.0 + 3.0 * us ** 4 / 640.0)
     out = np.where(small, series, direct)
     return float(out) if out.ndim == 0 else out
 
 
-def geometric_factor(accel_ratio, separation):
-    """Dimensionless factor f = sin(x)/(wL*sqrt(1+(aL)^2/4)), |f| <= 1.
+def _exchange_factors(accel_ratio, separation):
+    """Validated f and d/gamma0: (sin(x), cos(x)/4) / (wL*sqrt(1 + (aL)^2/4)).
 
-    x is the phase length evaluated at omega = 1.  At zero acceleration this
-    is the familiar sinc: sin(wL)/(wL).  Accepts scalars or arrays.
+    Past aL/2 = 1e150 the root is aL/2 itself to double precision, so nothing is
+    squared there.  Overflow is left to IEEE arithmetic without a warning: a
+    denominator past the float range makes f = d = 0, and an infinite d is
+    rejected where Coefficients are built.
     """
     accel_ratio = np.asarray(accel_ratio, dtype=float)
     separation = np.asarray(separation, dtype=float)
@@ -212,8 +216,19 @@ def geometric_factor(accel_ratio, separation):
             "separation must be > 0", code="separation-nonpositive"
         )
     x = _phase_length(accel_ratio, separation)
-    denom = separation * np.sqrt(1.0 + (accel_ratio * separation) ** 2 / 4.0)
-    out = np.sin(x) / denom
+    t = accel_ratio * separation / 2.0
+    with np.errstate(over="ignore"):  # below the cap sqrt(1 + t^2) >= t in floats too
+        denom = separation * np.maximum(np.sqrt(1.0 + np.minimum(t, 1e150) ** 2), t)
+        return np.sin(x) / denom, np.cos(x) / 4.0 / denom  # = cos(x)/(4*denom) bitwise
+
+
+def geometric_factor(accel_ratio, separation):
+    """Dimensionless factor f = sin(x)/(wL*sqrt(1+(aL)^2/4)), |f| <= 1.
+
+    x is the phase length evaluated at omega = 1.  At zero acceleration this
+    is the familiar sinc: sin(wL)/(wL).  Accepts scalars or arrays.
+    """
+    out = _exchange_factors(accel_ratio, separation)[0]
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -226,19 +241,7 @@ def interaction_strength(accel_ratio, separation):
     coherence.  Grows like 1/(4*wL) as wL -> 0, which is why L = 0 is
     rejected.  Accepts scalars or arrays.
     """
-    accel_ratio = np.asarray(accel_ratio, dtype=float)
-    separation = np.asarray(separation, dtype=float)
-    _require_finite("accel", accel_ratio)
-    _require_finite("separation", separation)
-    if np.any(accel_ratio < 0):
-        raise InvalidParameterError("acceleration must be >= 0", code="accel-negative")
-    if np.any(separation <= 0):
-        raise InvalidParameterError(
-            "separation must be > 0", code="separation-nonpositive"
-        )
-    x = _phase_length(accel_ratio, separation)
-    denom = separation * np.sqrt(1.0 + (accel_ratio * separation) ** 2 / 4.0)
-    out = np.cos(x) / (4.0 * denom)
+    out = _exchange_factors(accel_ratio, separation)[1]
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -277,9 +280,6 @@ def coefficients(config: SimConfig) -> Coefficients:
     g0 = config.gamma0
     b1 = g0 / 4.0
     a1 = b1 * thermal_ratio(config.accel_ratio)
-    f = geometric_factor(config.accel_ratio, config.separation)
-    if config.include_interaction:
-        d = g0 * interaction_strength(config.accel_ratio, config.separation)
-    else:
-        d = 0.0
+    f, d = (float(v) for v in _exchange_factors(config.accel_ratio, config.separation))
+    d = g0 * d if config.include_interaction else 0.0
     return Coefficients(a1=a1, a2=f * a1, b1=b1, b2=f * b1, d=d, f=f, gamma0=g0)

@@ -8,14 +8,15 @@ that detects whether the "more acceleration can mean more entanglement"
 behaviour survives once the exchange term is kept (it does not).
 
 All sweep outputs are deterministic: grid points are independent, results are
-written into index-ordered slots, and the worker count (capped by the
-UNRUH_PAIR_THREADS environment variable) never changes the values.
+written into index-ordered slots, and the worker count of the rate-sweep pool
+(capped by the UNRUH_PAIR_THREADS environment variable) never changes them.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -35,9 +36,8 @@ from .errors import (
 from .params import (
     Coefficients,
     SimConfig,
+    _exchange_factors,
     coefficients,
-    geometric_factor,
-    interaction_strength,
     thermal_ratio,
 )
 from .xstate import (
@@ -53,6 +53,8 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # dense-sampling and grid ceilings: beyond these the request is a parameter
 # mistake (e.g. wL ~ 1e-9 makes the exchange phase spin ~1e8 times per 1/Gamma0)
 _MAX_SAMPLES = 2_000_000
+# times per array pass of the peak search: bounds its temporaries at any grid size
+_SAMPLE_BLOCK = 1 << 14
 _MAX_REGION_NODES = 4_000_000
 
 # default windows mirroring the published curves
@@ -187,8 +189,8 @@ def region_scan(
     ll, aa = np.meshgrid(omega_l, accel)
     a1 = thermal_ratio(aa) / 4.0
     b1 = 0.25
-    a2 = geometric_factor(aa, ll) * a1
-    d = interaction_strength(aa, ll)
+    f, d = _exchange_factors(aa, ll)
+    a2 = f * a1
     rhs = a1 ** 2 - b1 ** 2
     return RegionMask(
         omega_l=omega_l,
@@ -212,7 +214,11 @@ def default_region_scan(resolution: int = DEFAULT_REGION_RESOLUTION) -> RegionMa
     )
 
 
-def _sweep_axis(axis: str, sweep_range, resolution: int) -> np.ndarray:
+def _sweep_axis(fixed_axis: str, sweep_range, resolution: int) -> tuple[str, np.ndarray]:
+    """Name and log-spaced values of the axis a sweep holding ``fixed_axis`` runs along."""
+    if fixed_axis not in ("separation", "accel_ratio"):
+        raise InvalidParameterError(f"unknown axis {fixed_axis!r}", code="axis-unknown")
+    axis = "accel_ratio" if fixed_axis == "separation" else "separation"
     if sweep_range is None:
         sweep_range = DEFAULT_ACCEL_SWEEP if axis == "accel_ratio" else DEFAULT_SEP_SWEEP
     lo, hi = sweep_range
@@ -224,18 +230,12 @@ def _sweep_axis(axis: str, sweep_range, resolution: int) -> np.ndarray:
         raise InvalidParameterError(
             "resolution must be >= 2", code="resolution-too-small"
         )
-    return np.logspace(math.log10(lo), math.log10(hi), resolution)
+    return axis, np.logspace(math.log10(lo), math.log10(hi), resolution)
 
 
 def _config_pair(axis: str, value: float, fixed_value: float, gamma0: float):
-    if axis == "accel_ratio":
-        kw = dict(accel_ratio=value, separation=fixed_value, gamma0=gamma0)
-    else:
-        kw = dict(accel_ratio=fixed_value, separation=value, gamma0=gamma0)
-    return (
-        coefficients(SimConfig(include_interaction=True, **kw)),
-        coefficients(SimConfig(include_interaction=False, **kw)),
-    )
+    accel, sep = (value, fixed_value) if axis == "accel_ratio" else (fixed_value, value)
+    return tuple(coefficients(SimConfig(accel, sep, gamma0, with_d)) for with_d in (True, False))
 
 
 def rate_sweep(
@@ -257,16 +257,11 @@ def rate_sweep(
     closed form falls back to the finite-difference rate at its singular
     point.
     """
-    if fixed_axis not in ("separation", "accel_ratio"):
-        raise InvalidParameterError(
-            f"unknown axis {fixed_axis!r}", code="axis-unknown"
-        )
+    axis, values = _sweep_axis(fixed_axis, sweep_range, resolution)
     if initial not in ("product-eg", "superposition"):
         raise InvalidParameterError(
             f"unknown initial state kind {initial!r}", code="init-unknown"
         )
-    axis = "accel_ratio" if fixed_axis == "separation" else "separation"
-    values = _sweep_axis(axis, sweep_range, resolution)
 
     def rate_for(coeffs: Coefficients) -> float:
         if initial == "product-eg":
@@ -280,9 +275,7 @@ def rate_sweep(
         on, off = _config_pair(axis, value, fixed_value, gamma0)
         return rate_for(on), rate_for(off)
 
-    results = _map_indexed(point, values)
-    on = np.array([r[0] for r in results])
-    off = np.array([r[1] for r in results])
+    on, off = np.array(_map_indexed(point, values)).T
     return SweepResult(
         axis=axis,
         values=values,
@@ -307,95 +300,124 @@ def _sampling_step(coeffs: Coefficients) -> float:
     return step
 
 
-def _concurrence_of_flow(state0: XState, coeffs: Coefficients, flow, tau: float) -> float:
-    p = flow.propagate(state0.populations, tau)
-    c_as = state0.c_as * np.exp(-4.0 * (coeffs.a1 + 1j * coeffs.d) * tau)
-    c_ge = abs(state0.c_ge) * math.exp(-4.0 * coeffs.a1 * tau)
-    r1 = (p[2] - p[3]) ** 2 + 4.0 * c_as.imag ** 2
-    r2 = (p[2] + p[3]) ** 2 - 4.0 * c_as.real ** 2
-    k1 = math.sqrt(max(r1, 0.0)) - 2.0 * math.sqrt(max(p[0] * p[1], 0.0))
-    k2 = 2.0 * c_ge - math.sqrt(max(r2, 0.0))
-    return max(0.0, k1, k2)
+def _flow_concurrence(state0: XState, sets, owner):
+    """Array concurrence: C(taus)[k] is that of the flow of sets[owner[k]] at taus[k].
+
+    Populations come from one einsum over the stacked eigen-decompositions of
+    ``_population_flow`` (a set on its expm route goes through
+    ``flow.propagate``); radicands negative by round-off are clipped to zero.
+    """
+    p0 = state0.populations
+    flows = [_population_flow(c) for c in sets]
+    eig = [f._eig or (np.zeros(4), np.zeros((4, 4)), np.zeros((4, 4))) for f in flows]
+    w, v = np.array([e[0] for e in eig])[owner], np.array([e[1] for e in eig])[owner]
+    q = np.array([e[2] @ p0 for e in eig])[owner]
+    a1, d = np.array([(c.a1, c.d) for c in sets])[owner].T
+    expm = [s for s, f in enumerate(flows) if f._eig is None]
+    slow = np.flatnonzero(np.isin(owner, expm)) if expm else ()
+
+    def c_of(taus):
+        p = np.einsum("kij,kj->ik", v, np.exp(w * taus[:, None]) * q).real
+        for k in slow:
+            p[:, k] = flows[owner[k]].propagate(p0, taus[k])
+        c_as = state0.c_as * np.exp(-4.0 * (a1 + 1j * d) * taus)
+        c_ge = abs(state0.c_ge) * np.exp(-4.0 * a1 * taus)
+        r1 = (p[2] - p[3]) ** 2 + 4.0 * c_as.imag ** 2
+        r2 = (p[2] + p[3]) ** 2 - 4.0 * c_as.real ** 2
+        k1 = np.sqrt(np.maximum(r1, 0.0)) - 2.0 * np.sqrt(np.maximum(p[0] * p[1], 0.0))
+        k2 = 2.0 * c_ge - np.sqrt(np.maximum(r2, 0.0))
+        return np.maximum(np.maximum(k1, k2), 0.0)
+
+    return c_of
 
 
 def max_concurrence(
     state0: XState,
-    coeffs: Coefficients,
+    coeffs: Coefficients | Sequence[Coefficients],
     tau_max: float = 20.0,
     auto_extend: bool = True,
-) -> tuple[float, float]:
+):
     """Largest concurrence reached during evolution and the time it occurs.
 
     Samples the closed-form flow densely (at least 40 samples per decay time
-    and 20 per half-turn of the exchange phase), then refines around the best
-    sample by golden-section search.  If the concurrence is still above 1e-6
-    and rising at the horizon, the horizon is doubled up to three times
-    (when auto_extend is set) before the condition is reported as an error.
+    and 20 per half-turn of the exchange phase), then refines the best sample
+    and every strict local sample maximum with C > 0 by golden-section search.
+    If the concurrence is still above 1e-6 and rising at the horizon, the
+    horizon is doubled up to three times (when auto_extend is set) before the
+    condition is reported as an error.  A sequence of coefficient sets gives
+    two arrays; the brackets of all sets are refined together, in lockstep.
     """
     if not math.isfinite(tau_max) or tau_max <= 0:
         raise InvalidParameterError("tau_max must be > 0", code="tau-max-nonpositive")
-    flow = _population_flow(coeffs)
-
-    def c_of(tau: float) -> float:
-        return _concurrence_of_flow(state0, coeffs, flow, tau)
-
-    horizon = tau_max
+    single = isinstance(coeffs, Coefficients)
+    sets = [coeffs] if single else list(coeffs)
     attempts = 4 if auto_extend else 1  # initial horizon plus up to three doublings
-    step = _sampling_step(coeffs)
-    if horizon / step > _MAX_SAMPLES:
-        raise InvalidParameterError(
-            f"dense sampling would need {horizon / step:.1e} points "
-            f"(exchange phase step {step:.1e}); reduce tau_max or the exchange strength",
-            code="sampling-too-fine",
-        )
-    for attempt in range(attempts):
-        n = int(math.ceil(horizon / step)) + 1
-        taus = np.linspace(0.0, horizon, n)
-        cs = np.array([c_of(t) for t in taus])
-        still_rising = cs[-1] >= HORIZON_THRESHOLD and cs[-1] > cs[-2]
-        if not still_rising:
-            break
-        if attempt == attempts - 1:
-            raise HorizonError(
-                f"concurrence still rising at tau = {horizon:g}; increase tau_max"
+    owner, brackets = [np.empty(0, dtype=int)], [np.empty((0, 4))]
+    for s, c in enumerate(sets):
+        horizon = tau_max
+        step = _sampling_step(c)
+        if horizon / step > _MAX_SAMPLES:
+            raise InvalidParameterError(
+                f"dense sampling would need {horizon / step:.1e} points "
+                f"(exchange phase step {step:.1e}); reduce tau_max or the exchange strength",
+                code="sampling-too-fine",
             )
-        horizon *= 2.0
+        for attempt in range(attempts):
+            n = int(math.ceil(horizon / step)) + 1
+            taus = np.linspace(0.0, horizon, n)
+            cs = np.concatenate([_flow_concurrence(state0, [c], np.zeros(len(t), dtype=int))(t)
+                                 for t in np.split(taus, range(_SAMPLE_BLOCK, n, _SAMPLE_BLOCK))])
+            still_rising = cs[-1] >= HORIZON_THRESHOLD and cs[-1] > cs[-2]
+            if not still_rising:
+                break
+            if attempt == attempts - 1:
+                raise HorizonError(
+                    f"concurrence still rising at tau = {horizon:g}; increase tau_max"
+                )
+            horizon *= 2.0
+        best = int(np.argmax(cs))
+        padded = np.concatenate(([-np.inf], cs, [-np.inf]))
+        peaks = np.flatnonzero((cs > padded[:-2]) & (cs > padded[2:]) & (cs > 0.0))
+        peaks = np.concatenate(([best], peaks[peaks != best]))  # first, so it wins ties
+        owner.append(np.full(len(peaks), s))
+        brackets.append(np.stack([taus[np.maximum(peaks - 1, 0)], taus[np.minimum(peaks + 1, n - 1)],
+                                  taus[peaks], cs[peaks]], 1))
+    owner, (lo, hi, tau_s, c_s) = np.concatenate(owner), np.concatenate(brackets).T
+    tau_k, c_k = np.empty(len(lo)), np.empty(len(lo))
+    for i in range(0, len(lo), _SAMPLE_BLOCK):
+        part = slice(i, i + _SAMPLE_BLOCK)
+        f = _flow_concurrence(state0, sets, owner[part])
+        tau_k[part], c_k[part] = _golden_max_lockstep(f, lo[part], hi[part])
+    # the brackets are not guaranteed unimodal; never return less than a sample
+    tau_k, c_k = np.where(c_k >= c_s, tau_k, tau_s), np.maximum(c_k, c_s)
+    order = np.lexsort((-c_k, owner))  # stable: the earliest bracket wins ties
+    top = order[np.flatnonzero(np.diff(owner[order], prepend=-1))]
+    return (float(c_k[top[0]]), float(tau_k[top[0]])) if single else (c_k[top], tau_k[top])
 
-    best = int(np.argmax(cs))
-    lo = taus[max(best - 1, 0)]
-    hi = taus[min(best + 1, len(taus) - 1)]
-    tau_star, c_star = _golden_max(c_of, lo, hi)
-    # the bracket is not guaranteed unimodal; never return less than a sample
-    if cs[best] > c_star:
-        tau_star, c_star = taus[best], cs[best]
-    return float(c_star), float(tau_star)
 
+def _golden_max_lockstep(f, lo: np.ndarray, hi: np.ndarray, tol: float = 1e-10):
+    """Golden-section maximisation of an array function f on every [lo[k], hi[k]].
 
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, float]:
-    """Golden-section maximization on [lo, hi] for a locally unimodal f."""
+    Each bracket runs exactly the iterations of a scalar search to width tol
+    (at least one) and is carried along unchanged once done.
+    """
     a, b = lo, hi
     h = b - a
-    if h <= tol:
-        mid = 0.5 * (a + b)
-        return mid, f(mid)
-    c = b - _INV_PHI * h
-    d = a + _INV_PHI * h
+    c, d = b - _INV_PHI * h, a + _INV_PHI * h
     fc, fd = f(c), f(d)
-    n = int(math.ceil(math.log(tol / h) / math.log(_INV_PHI)))
-    for _ in range(max(n, 1)):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = b - _INV_PHI * h
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + _INV_PHI * h
-            fd = f(d)
-    if fc > fd:
-        return c, fc
-    return d, fd
+    runs = np.maximum(np.ceil(np.log(tol / h) / math.log(_INV_PHI)), 1)
+    for i in range(int(runs.max(initial=0))):
+        left, right = (i < runs) & (fc > fd), (i < runs) & ~(fc > fd)  # keep [a, d] / [c, b]
+        b = np.where(left, d, b)
+        d, fd = np.where(left, c, d), np.where(left, fc, fd)
+        a = np.where(right, c, a)
+        c, fc = np.where(right, d, c), np.where(right, fd, fc)
+        h = b - a
+        probe = np.where(left, b - _INV_PHI * h, a + _INV_PHI * h)
+        fp = f(probe)
+        c, fc = np.where(left, probe, c), np.where(left, fp, fc)
+        d, fd = np.where(right, probe, d), np.where(right, fp, fd)
+    return np.where(fc > fd, c, d), np.maximum(fc, fd)
 
 
 def max_concurrence_sweep(
@@ -408,26 +430,14 @@ def max_concurrence_sweep(
     gamma0: float = 1.0,
 ) -> SweepResult:
     """Maximum concurrence during evolution along one log-spaced axis."""
-    if fixed_axis not in ("separation", "accel_ratio"):
-        raise InvalidParameterError(f"unknown axis {fixed_axis!r}", code="axis-unknown")
-    if state0 is None:
-        state0 = initial_product_eg()
-    axis = "accel_ratio" if fixed_axis == "separation" else "separation"
-    values = _sweep_axis(axis, sweep_range, resolution)
-
-    def point(value: float) -> tuple[float, float]:
-        on, off = _config_pair(axis, value, fixed_value, gamma0)
-        return (
-            max_concurrence(state0, on, tau_max)[0],
-            max_concurrence(state0, off, tau_max)[0],
-        )
-
-    results = _map_indexed(point, values)
+    axis, values = _sweep_axis(fixed_axis, sweep_range, resolution)
+    sets = [c for value in values for c in _config_pair(axis, value, fixed_value, gamma0)]
+    peaks, _ = max_concurrence(state0 or initial_product_eg(), sets, tau_max)
     return SweepResult(
         axis=axis,
         values=values,
-        with_interaction=np.array([r[0] for r in results]),
-        without_interaction=np.array([r[1] for r in results]),
+        with_interaction=peaks[0::2],
+        without_interaction=peaks[1::2],
         quantity="max-concurrence",
         meta={
             "fixed_axis": fixed_axis,

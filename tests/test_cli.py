@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -204,3 +205,17 @@ class TestGnuplotHint:
         assert code == 0
         assert stdout.startswith("# gnuplot:")
         assert str(out) in stdout
+
+
+class TestExtremeInputs:
+    @pytest.mark.parametrize("argv", [
+        ["maxc", "--accel", "1", "--sep", "1e300"],
+        ["sweep", "--quantity", "rate", "--sep", "1",
+         "--sweep-min", "1e-300", "--sweep-max", "1e300"],
+    ])
+    def test_no_overflow_warning_or_traceback(self, argv, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(argv, capsys)
+        assert (code, err) == (0, "")
+        assert "inf" not in out and "nan" not in out

@@ -22,8 +22,7 @@ from unruh_pair import (
     rate_sweep,
     region_scan,
 )
-from unruh_pair.sweeps import _concurrence_of_flow
-from unruh_pair.xstate import _population_flow
+from unruh_pair.sweeps import _SAMPLE_BLOCK, _flow_concurrence
 
 from conftest import random_coefficients, random_x_state
 
@@ -142,15 +141,38 @@ class TestMaxConcurrence:
         c = random_coefficients(rng)
         s0 = initial_product_eg()
         c_max, _ = max_concurrence(s0, c, tau_max=20.0)
-        flow = _population_flow(c)
-        step = 1.0 / (40.0 * c.a1)
-        for t in np.arange(0.0, 20.0, step):
-            assert c_max >= _concurrence_of_flow(s0, c, flow, float(t)) - 1e-12
+        taus = np.arange(0.0, 20.0, 1.0 / (40.0 * c.a1))
+        samples = _flow_concurrence(s0, [c], np.zeros(len(taus), dtype=int))(taus)
+        assert np.all(c_max >= samples - 1e-12)
+        for k in rng.choice(len(taus), 5, replace=False):
+            assert samples[k] == pytest.approx(
+                concurrence_x(evolve(s0, c, float(taus[k]))).c, abs=1e-13)
+
+    def test_interior_peak_above_the_start_is_refined(self):
+        # C(0) = 0.60899 beats every other sample; the samples at tau = 0.1,
+        # 0.2, 0.3 read 0.5883, 0.6059, 0.6055, so the true peak near 0.25 is
+        # a local sample maximum below the global one
+        c = coefficients(SimConfig(accel_ratio=0.0375053, separation=0.309735))
+        s0 = initial_superposition(1.08846, -0.264994)
+        c_max, tau_star = max_concurrence(s0, c)
+        assert c_max == pytest.approx(0.6098748, abs=1e-7)
+        assert tau_star == pytest.approx(0.251, abs=1e-3)
+        assert c_max >= concurrence_x(evolve(s0, c, tau_star)).c - 1e-15
 
     def test_horizon_error_when_still_rising(self):
         c = coefficients(SimConfig(accel_ratio=0.1, separation=0.5))
         with pytest.raises(HorizonError):
             max_concurrence(initial_product_eg(), c, tau_max=0.3, auto_extend=False)
+
+    def test_sequence_reports_the_first_failing_set(self):
+        s0 = initial_product_eg()
+        ok = coefficients(SimConfig(accel_ratio=0.1, separation=0.5))
+        fine = coefficients(SimConfig(accel_ratio=0.1, separation=1e-9))  # d ~ 2.5e8
+        with pytest.raises(InvalidParameterError) as exc:
+            max_concurrence(s0, [ok, fine])
+        assert exc.value.code == "sampling-too-fine"
+        with pytest.raises(HorizonError):
+            max_concurrence(s0, [ok, fine], tau_max=0.3, auto_extend=False)
 
     def test_auto_extension_recovers(self):
         c = coefficients(SimConfig(accel_ratio=0.1, separation=0.5))
@@ -160,20 +182,75 @@ class TestMaxConcurrence:
         assert t_ext == pytest.approx(t_ref, abs=1e-3)
 
     def test_flow_shortcut_matches_public_route(self, rng):
-        for _ in range(20):
-            c = random_coefficients(rng)
+        sets = [random_coefficients(rng) for _ in range(20)]
+        for _ in range(5):
             s0 = random_x_state(rng)
-            flow = _population_flow(c)
-            tau = float(rng.uniform(0.0, 5.0))
-            fast = _concurrence_of_flow(s0, c, flow, tau)
-            slow = concurrence_x(evolve(s0, c, tau)).c
-            assert fast == pytest.approx(slow, abs=1e-13)
+            owner = rng.integers(0, len(sets), size=40)
+            taus = rng.uniform(0.0, 5.0, size=40)
+            fast = _flow_concurrence(s0, sets, owner)(taus)
+            slow = [concurrence_x(evolve(s0, sets[s], float(t))).c for s, t in zip(owner, taus)]
+            np.testing.assert_allclose(fast, slow, rtol=0.0, atol=1e-13)
+
+    def test_sequence_form_matches_single_calls(self, rng):
+        sets = [random_coefficients(rng, include_interaction=bool(k % 2)) for k in range(8)]
+        s0 = initial_superposition(0.4, 1.1)
+        peaks, taus = max_concurrence(s0, sets)
+        assert peaks.shape == taus.shape == (8,)
+        for c, peak, tau in zip(sets, peaks, taus):
+            assert (peak, tau) == max_concurrence(s0, c)
+        empty = max_concurrence(s0, [])
+        assert empty[0].shape == empty[1].shape == (0,)
+
+    def test_expm_route_is_searched_in_the_same_batch(self, monkeypatch):
+        from unruh_pair import sweeps, xstate
+        sets = [coefficients(SimConfig(accel_ratio=a, separation=0.5, include_interaction=with_d))
+                for a in (0.5, 2.0) for with_d in (True, False)]
+        s0 = initial_superposition(0.4, 1.1)
+        ref_c, ref_t = max_concurrence(s0, sets)
+        forced = {sets[1], sets[2]}
+        monkeypatch.setattr(sweeps, "_population_flow",
+                            lambda c: xstate._PopulationFlow(c, force_expm=c in forced))
+        got_c, got_t = max_concurrence(s0, sets)
+        np.testing.assert_allclose(got_c, ref_c, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(got_t, ref_t, rtol=0.0, atol=1e-6)
+
+    def test_long_grid_is_sampled_in_blocks(self):
+        c = coefficients(SimConfig(accel_ratio=0.1, separation=0.05))  # fine exchange step
+        s0 = initial_superposition(0.3, 0.2)
+        tau_max = 1.5 * _SAMPLE_BLOCK * math.pi / (20.0 * abs(c.d))
+        c_max, tau_star = max_concurrence(s0, c, tau_max=tau_max)
+        assert c_max >= concurrence_x(evolve(s0, c, tau_star)).c - 1e-15
+        assert c_max == pytest.approx(max_concurrence(s0, c, tau_max=2.0)[0], abs=1e-12)
 
 
 class TestMaxConcurrenceSweep:
     def test_dominance_everywhere(self):
         sw = max_concurrence_sweep("separation", 0.5, resolution=16)
         assert np.all(sw.with_interaction >= sw.without_interaction - 1e-9)
+
+    def test_sweep_equals_per_point_calls(self):
+        s0 = initial_superposition(0.5, -0.7)
+        sw = max_concurrence_sweep("separation", 0.3, resolution=12, state0=s0)
+        for value, on, off in zip(sw.values, sw.with_interaction, sw.without_interaction):
+            for with_d, peak in ((True, on), (False, off)):
+                c = coefficients(SimConfig(accel_ratio=float(value), separation=0.3,
+                                           include_interaction=with_d))
+                assert abs(max_concurrence(s0, c)[0] - peak) <= 1e-15
+
+    def test_brute_force_never_beats_the_refined_peak(self):
+        rng = np.random.default_rng(4242)
+        taus = (np.arange(200) + 0.5) * (20.0 / 200)  # midpoints, off the sample grid
+        for _ in range(20):
+            accel = float(10.0 ** rng.uniform(-3, math.log10(3e2)))
+            sep = float(10.0 ** rng.uniform(math.log10(0.03), math.log10(3e2)))
+            theta, phi = rng.uniform(0.0, math.pi), rng.uniform(-math.pi, math.pi)
+            for s0 in (initial_product_eg(), initial_superposition(theta, phi)):
+                for with_d in (True, False):
+                    c = coefficients(SimConfig(accel_ratio=accel, separation=sep,
+                                               include_interaction=with_d))
+                    peak, _ = max_concurrence(s0, c)
+                    brute = max(concurrence_x(evolve(s0, c, float(t))).c for t in taus)
+                    assert brute <= peak + 1e-12, (accel, sep, theta, phi, with_d)
 
     def test_anti_unruh_disappears_with_exchange(self):
         sw = max_concurrence_sweep("separation", 3.0, sweep_range=(0.05, 20.0),
@@ -249,10 +326,11 @@ class TestDeterminism:
         assert np.array_equal(a.without_interaction, b.without_interaction)
 
     def test_worker_count_does_not_change_values(self, monkeypatch):
+        kw = dict(resolution=8, initial="superposition", theta=0.4, phi=0.9)
         monkeypatch.setenv("UNRUH_PAIR_THREADS", "1")
-        a = max_concurrence_sweep("separation", 0.5, resolution=8)
+        a = rate_sweep("separation", 0.5, **kw)
         monkeypatch.setenv("UNRUH_PAIR_THREADS", "4")
-        b = max_concurrence_sweep("separation", 0.5, resolution=8)
+        b = rate_sweep("separation", 0.5, **kw)
         assert np.array_equal(a.with_interaction, b.with_interaction)
         assert np.array_equal(a.without_interaction, b.without_interaction)
 
