@@ -4,7 +4,8 @@ A desk-scale simulator for a pair of identical two-level atoms riding
 parallel uniformly accelerated trajectories, coupled to a massless scalar
 field in the Minkowski vacuum.  The library exposes:
 
-- closed-form rate constants of the pair master equation (``params``),
+- closed-form rate constants of the pair master equation, one point at a
+  time or as arrays (``params``),
 - exact propagation of X-form states in the coupled basis (``xstate``),
 - an independent dense master-equation integrator (``oracle``),
 - concurrence and its analytic initial rates (``entanglement``),
@@ -48,10 +49,12 @@ from .oracle import (
 )
 from .params import (
     Coefficients,
+    RateConstants,
     SimConfig,
     coefficients,
     geometric_factor,
     interaction_strength,
+    rate_constants,
     spectral_density_cross,
     spectral_density_same,
     thermal_ratio,
@@ -68,7 +71,6 @@ from .sweeps import (
     monotonicity_report,
     rate_sweep,
     region_scan,
-    worker_count,
 )
 from .xstate import (
     DiagonalGenerator,
@@ -84,7 +86,7 @@ from .xstate import (
 __all__ = [
     "__version__",
     # params
-    "SimConfig", "Coefficients", "coefficients",
+    "SimConfig", "Coefficients", "coefficients", "RateConstants", "rate_constants",
     "spectral_density_same", "spectral_density_cross",
     "geometric_factor", "interaction_strength", "thermal_ratio",
     # xstate
@@ -102,7 +104,7 @@ __all__ = [
     "SweepResult", "RegionMask", "region_scan", "default_region_scan",
     "rate_sweep", "max_concurrence", "max_concurrence_sweep",
     "asymptotic_concurrence", "monotonicity_report",
-    "CurveClassification", "MonotonicityReport", "worker_count",
+    "CurveClassification", "MonotonicityReport",
     # errors
     "SimulationError", "UsageError", "InvalidParameterError",
     "InvalidStateError", "NonConvergenceError", "HorizonError",

@@ -56,6 +56,7 @@ from .sweeps import (
 )
 from .xstate import (
     XState,
+    _check_sample_count,
     evolve,
     initial_product_eg,
     initial_superposition,
@@ -340,66 +341,40 @@ def _cmd_coeffs(cfg: RunConfig) -> int:
 def _cmd_evolve(cfg: RunConfig) -> int:
     c = coefficients(_sim_config(cfg))
     state0 = _initial_state(cfg)
-    samples = trajectory(state0, c, cfg.tau_max, cfg.samples)
-    rows = {k: [] for k in
-            ("tau", "c", "k1", "k2", "p_gg", "p_ee", "p_aa", "p_ss", "re_as", "im_as")}
-    for t, s in samples:
-        b = concurrence_x(s)
-        rows["tau"].append(t)
-        rows["c"].append(b.c)
-        rows["k1"].append(b.k1)
-        rows["k2"].append(b.k2)
-        rows["p_gg"].append(s.p_gg)
-        rows["p_ee"].append(s.p_ee)
-        rows["p_aa"].append(s.p_aa)
-        rows["p_ss"].append(s.p_ss)
-        rows["re_as"].append(s.c_as.real)
-        rows["im_as"].append(s.c_as.imag)
-    return _emit(cfg, rows)
+    names = ("tau", "c", "k1", "k2", "p_gg", "p_ee", "p_aa", "p_ss", "re_as", "im_as")
+    rows = [(t, b.c, b.k1, b.k2, s.p_gg, s.p_ee, s.p_aa, s.p_ss, s.c_as.real, s.c_as.imag)
+            for t, s in trajectory(state0, c, cfg.tau_max, cfg.samples)
+            for b in (concurrence_x(s),)]
+    return _emit(cfg, dict(zip(names, zip(*rows))))
 
 
 def _rate_triplet(cfg: RunConfig, with_d: bool):
     c = coefficients(_sim_config(cfg, with_d=with_d))
     state0 = _initial_state(cfg)
-    singular = False
-    if cfg.init == "superposition":
-        try:
-            raw = initial_rate_superposition(c, cfg.theta, cfg.phi)
-        except FormulaSingularError:
-            raw = numerical_initial_rate(state0, c)
-            singular = True
-    else:
-        raw = generation_rate_product(c)
-    k1_0 = concurrence_x(state0).k1
     numeric = numerical_initial_rate(state0, c)
-    return raw, clamped_rate(k1_0, raw), numeric, singular
+    singular = False
+    try:
+        raw = (initial_rate_superposition(c, cfg.theta, cfg.phi) if cfg.init == "superposition"
+               else generation_rate_product(c))
+    except FormulaSingularError:  # the finite difference is the rate there
+        raw, singular = numeric, True
+    return raw, clamped_rate(concurrence_x(state0).k1, raw), numeric, singular
 
 
 def _cmd_rate(cfg: RunConfig) -> int:
-    on = _rate_triplet(cfg, True)
-    off = _rate_triplet(cfg, False)
-    cols = {
-        "analytic_with_d": [on[0]],
-        "clamped_with_d": [on[1]],
-        "numerical_with_d": [on[2]],
-        "analytic_without_d": [off[0]],
-        "clamped_without_d": [off[1]],
-        "numerical_without_d": [off[2]],
-        "formula_singular": [on[3] or off[3]],
-    }
+    on, off = _rate_triplet(cfg, True), _rate_triplet(cfg, False)
+    cols = {f"{kind}_{switch}": [value]
+            for switch, rates in (("with_d", on), ("without_d", off))
+            for kind, value in zip(("analytic", "clamped", "numerical"), rates)}
+    cols["formula_singular"] = [on[3] or off[3]]
     return _emit(cfg, cols)
 
 
 def _cmd_region(cfg: RunConfig) -> int:
     mask = default_region_scan(cfg.grid)
-    n_a, n_l = mask.with_interaction.shape
-    cols = {"omega_l": [], "a_over_omega": [], "with_d": [], "without_d": []}
-    for i in range(n_a):
-        for j in range(n_l):
-            cols["omega_l"].append(mask.omega_l[j])
-            cols["a_over_omega"].append(mask.accel[i])
-            cols["with_d"].append(bool(mask.with_interaction[i, j]))
-            cols["without_d"].append(bool(mask.without_interaction[i, j]))
+    omega_l, accel = np.meshgrid(mask.omega_l, mask.accel)  # rows: accel outer, omega_l inner
+    cols = {"omega_l": omega_l.ravel(), "a_over_omega": accel.ravel(),
+            "with_d": mask.with_interaction.ravel(), "without_d": mask.without_interaction.ravel()}
     return _emit(cfg, cols)
 
 
@@ -462,8 +437,7 @@ def _cmd_oracle(cfg: RunConfig) -> int:
     # segment dominated by the exchange phase rotation
     dt = step_bound(c) / 32.0
     n = cfg.samples
-    if n < 2:
-        raise InvalidParameterError("need at least 2 samples", code="samples-too-few")
+    _check_sample_count(n)
     taus = np.linspace(0.0, cfg.tau_max, n)
     rho = from_xstate(state0)
     cols = {"tau": [], "max_abs_diff": []}
@@ -473,11 +447,8 @@ def _cmd_oracle(cfg: RunConfig) -> int:
             rho = integrate(rho, data, taus[k] - taus[k - 1], dt)
         reference = evolve(state0, c, float(taus[k]))
         got = to_xstate(rho)
-        diff = max(
-            abs(got.p_gg - reference.p_gg), abs(got.p_ee - reference.p_ee),
-            abs(got.p_aa - reference.p_aa), abs(got.p_ss - reference.p_ss),
-            abs(got.c_as - reference.c_as), abs(got.c_ge - reference.c_ge),
-        )
+        diff = max(abs(getattr(got, k) - getattr(reference, k))
+                   for k in ("p_gg", "p_ee", "p_aa", "p_ss", "c_as", "c_ge"))
         worst = max(worst, diff)
         cols["tau"].append(float(taus[k]))
         cols["max_abs_diff"].append(diff)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormulaSingularError, InvalidParameterError, InvalidStateError
-from .params import Coefficients
+from .params import Coefficients, _scalar_or_array
 from .xstate import XState, evolve
 
 # radicand more negative than this signals a genuinely non-positive state
@@ -106,29 +106,48 @@ def concurrence_general(rho: np.ndarray) -> float:
     return max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
 
 
-def generation_possible(coeffs: Coefficients) -> bool:
+def _hypot(x, y):
+    """sqrt(x^2 + y^2), as hypot only past 1e150, where a square could overflow."""
+    x, y = np.abs(x), np.abs(y)
+    plain = np.sqrt(np.minimum(x, 1e150) ** 2 + np.minimum(y, 1e150) ** 2)
+    return np.where(np.maximum(x, y) > 1e150, np.hypot(x, y), plain)
+
+
+def _local_root(coeffs):
+    """sqrt(a1^2 - b1^2) as a product of roots: no overflow at huge a1, no cancellation."""
+    return np.sqrt(np.maximum(coeffs.a1 - coeffs.b1, 0.0)) * np.sqrt(coeffs.a1 + coeffs.b1)
+
+
+def generation_possible(coeffs: Coefficients):
     """Whether entanglement grows out of |10> right after tau = 0.
 
     Strict inequality a2^2 + d^2 > a1^2 - b1^2.  With the exchange switched
-    off this reduces to a2^2 > a1^2 - b1^2, a strictly smaller region.
+    off this reduces to a2^2 > a1^2 - b1^2, a strictly smaller region.  Takes
+    a Coefficients (gives a bool) or the arrays of ``params.rate_constants``;
+    past a1 or |d| = 1e150, where a square could overflow, the roots of both
+    sides are compared instead.
     """
-    return coeffs.a2 ** 2 + coeffs.d ** 2 > coeffs.a1 ** 2 - coeffs.b1 ** 2
+    a1, a2, b1, d = (np.minimum(np.abs(v), 1e150)
+                     for v in (coeffs.a1, coeffs.a2, coeffs.b1, coeffs.d))
+    plain = a2 ** 2 + d ** 2 > a1 ** 2 - b1 ** 2
+    roots = _hypot(coeffs.a2, coeffs.d) > _local_root(coeffs)
+    big = np.maximum(coeffs.a1, np.abs(coeffs.d)) > 1e150  # a square could overflow
+    return _scalar_or_array(np.where(big, roots, plain))
 
 
-def generation_rate_product(coeffs: Coefficients) -> float:
+def generation_rate_product(coeffs: Coefficients):
     """Closed-form initial concurrence rate K1'(0) for the |10> start.
 
     4*sqrt(a2^2 + d^2) - 4*sqrt(a1^2 - b1^2); positive exactly when
     ``generation_possible``.  This is the raw branch rate: the measured
     concurrence is clamped at zero, so a negative value means the state
-    simply stays separable.
+    simply stays separable.  Takes a Coefficients (gives a float) or the
+    arrays of ``params.rate_constants``.
     """
-    # sqrt(a1^2 - b1^2) as a product of roots: no overflow at huge a1, no cancellation
-    root = math.sqrt(max(coeffs.a1 - coeffs.b1, 0.0)) * math.sqrt(coeffs.a1 + coeffs.b1)
-    return 4.0 * math.sqrt(coeffs.a2 ** 2 + coeffs.d ** 2) - 4.0 * root
+    return _scalar_or_array(4.0 * _hypot(coeffs.a2, coeffs.d) - 4.0 * _local_root(coeffs))
 
 
-def initial_rate_superposition(coeffs: Coefficients, theta: float, phi: float) -> float:
+def initial_rate_superposition(coeffs: Coefficients, theta: float, phi: float):
     """Closed-form C'(0) for the cos(theta)|A> + sin(theta)e^{i*phi}|S> start.
 
     C'(0) = [ -4*a1*(cos^2(2θ) + sin^2(2θ)sin^2(φ)) + 4*a2*cos(2θ)
@@ -139,6 +158,8 @@ def initial_rate_superposition(coeffs: Coefficients, theta: float, phi: float) -
     (e.g. θ = π/4, φ = 0, which is just |10> again) the formula is singular
     and callers must fall back to ``numerical_initial_rate``.  With d = 0 the
     φ-odd term disappears and the rate is insensitive to the sign of φ.
+    Takes a Coefficients (gives a float) or the arrays of
+    ``params.rate_constants``, with scalar angles.
     """
     if not (math.isfinite(theta) and math.isfinite(phi)):
         raise InvalidParameterError("angles must be finite", code="angle-not-finite")
@@ -154,9 +175,10 @@ def initial_rate_superposition(coeffs: Coefficients, theta: float, phi: float) -
         + 4.0 * coeffs.a2 * c2t
         - 2.0 * coeffs.d * s2t ** 2 * math.sin(2.0 * phi)
     )
-    # algebraically (a1^2-b1^2)(1-f*cos2theta)^2 >= 0; clip float round-off
-    rad = (coeffs.a1 - coeffs.a2 * c2t) ** 2 - (coeffs.b1 - coeffs.b2 * c2t) ** 2
-    return num / r0 - 4.0 * math.sqrt(max(rad, 0.0))
+    # the root is sqrt(a1^2 - b1^2)*|1 - f*cos2theta| (a2 = f*a1, b2 = f*b1), taken as a
+    # product: no square to overflow and no cancellation between the two squares
+    root = _local_root(coeffs) * np.abs(1.0 - coeffs.f * c2t)
+    return _scalar_or_array(num / r0 - 4.0 * root)
 
 
 def numerical_initial_rate(

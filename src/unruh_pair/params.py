@@ -29,6 +29,7 @@ handled by dedicated limit branches, never by a small-epsilon substitute.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +45,31 @@ _PHASE_SERIES_CUTOFF = 1.0e-6
 
 
 def _require_finite(name: str, value) -> None:
-    if not np.all(np.isfinite(value)):
+    if not (math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()):
         raise InvalidParameterError(f"{name} must be finite", code=f"{name}-not-finite")
+
+
+def _check_inputs(accel, sep=1.0, gamma0=1.0):
+    """accel, sep and gamma0 (scalars or arrays) as float arrays, once they pass the
+    checks every parameter point gets; finiteness is checked first.
+    """
+    accel, sep, gamma0 = (np.asarray(v, dtype=float) for v in (accel, sep, gamma0))
+    _require_finite("accel", accel)
+    _require_finite("separation", sep)
+    _require_finite("gamma0", gamma0)
+    if np.any(accel < 0):
+        raise InvalidParameterError("acceleration ratio a/omega must be >= 0", code="accel-negative")
+    if np.any(sep <= 0):
+        raise InvalidParameterError("separation omega*L must be > 0 (the exchange strength "
+                                    "diverges at L = 0)", code="separation-nonpositive")
+    if np.any(gamma0 <= 0):
+        raise InvalidParameterError("gamma0 must be > 0", code="gamma0-nonpositive")
+    return accel, sep, gamma0
+
+
+def _scalar_or_array(value):
+    """A Python scalar for a 0-d result, the array itself otherwise."""
+    return value.item() if np.ndim(value) == 0 else value
 
 
 @dataclass(frozen=True)
@@ -71,20 +95,7 @@ class SimConfig:
     include_interaction: bool = True
 
     def __post_init__(self):
-        _require_finite("accel", self.accel_ratio)
-        _require_finite("separation", self.separation)
-        _require_finite("gamma0", self.gamma0)
-        if self.accel_ratio < 0:
-            raise InvalidParameterError(
-                "acceleration ratio a/omega must be >= 0", code="accel-negative"
-            )
-        if self.separation <= 0:
-            raise InvalidParameterError(
-                "separation omega*L must be > 0 (the exchange strength diverges at L = 0)",
-                code="separation-nonpositive",
-            )
-        if self.gamma0 <= 0:
-            raise InvalidParameterError("gamma0 must be > 0", code="gamma0-nonpositive")
+        _check_inputs(self.accel_ratio, self.separation, self.gamma0)
 
 
 @dataclass(frozen=True)
@@ -135,9 +146,7 @@ def spectral_density_same(lam: float, accel: float) -> float:
     exponential and cancellation in the denominator.
     """
     _require_finite("lambda", lam)
-    _require_finite("accel", accel)
-    if accel < 0:
-        raise InvalidParameterError("acceleration must be >= 0", code="accel-negative")
+    _check_inputs(accel)
     if accel == 0.0:
         return lam / TWO_PI if lam > 0 else 0.0
     if lam == 0.0:
@@ -161,10 +170,7 @@ def spectral_density_cross(lam: float, accel: float, sep: float) -> float:
     inherited unchanged.
     """
     _require_finite("lambda", lam)
-    if sep <= 0:
-        raise InvalidParameterError(
-            "separation must be > 0", code="separation-nonpositive"
-        )
+    _check_inputs(accel, sep)
     base = spectral_density_same(lam, accel)
     psi = _phase_length(accel, sep)
     t = accel * sep / 2.0
@@ -181,45 +187,51 @@ def _phase_length(accel, sep):
 
     For a*L below the series cutoff the direct form suffers cancellation in
     the 2/a prefactor, so the expansion L*(1 - (aL)^2/24 + 3(aL)^4/640) is
-    used; its truncation error is far below double precision there.
+    used; its truncation error is far below double precision there.  Once a*L
+    leaves the float range, asinh(aL/2) is log(a) + log(L) to double precision.
     Accepts scalars or arrays (broadcast together).
     """
     accel = np.asarray(accel, dtype=float)
     sep = np.asarray(sep, dtype=float)
-    u = accel * sep
+    with np.errstate(over="ignore"):
+        u = accel * sep
     small = u < _PHASE_SERIES_CUTOFF
     safe_accel = np.where(small, 1.0, accel)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         direct = (2.0 / safe_accel) * np.arcsinh(safe_accel * sep / 2.0)
+    huge = np.isinf(u)
+    if huge.any():
+        direct = np.where(huge, (2.0 / safe_accel) * (np.log(safe_accel) + np.log(sep)), direct)
     us = np.where(small, u, 0.0)  # the series only where it is used: no overflow
     series = sep * (1.0 - us * us / 24.0 + 3.0 * us ** 4 / 640.0)
-    out = np.where(small, series, direct)
-    return float(out) if out.ndim == 0 else out
+    return _scalar_or_array(np.where(small, series, direct))
 
 
-def _exchange_factors(accel_ratio, separation):
-    """Validated f and d/gamma0: (sin(x), cos(x)/4) / (wL*sqrt(1 + (aL)^2/4)).
+def _exchange_factors(accel, sep):
+    """f and d/gamma0, (sin(x), cos(x)/4) / (wL*sqrt(1 + (aL)^2/4)), on checked arrays.
 
     Past aL/2 = 1e150 the root is aL/2 itself to double precision, so nothing is
     squared there.  Overflow is left to IEEE arithmetic without a warning: a
     denominator past the float range makes f = d = 0, and an infinite d is
-    rejected where Coefficients are built.
+    rejected by the callers' finiteness checks.
     """
-    accel_ratio = np.asarray(accel_ratio, dtype=float)
-    separation = np.asarray(separation, dtype=float)
-    _require_finite("accel", accel_ratio)
-    _require_finite("separation", separation)
-    if np.any(accel_ratio < 0):
-        raise InvalidParameterError("acceleration must be >= 0", code="accel-negative")
-    if np.any(separation <= 0):
-        raise InvalidParameterError(
-            "separation must be > 0", code="separation-nonpositive"
-        )
-    x = _phase_length(accel_ratio, separation)
-    t = accel_ratio * separation / 2.0
+    x = _phase_length(accel, sep)
     with np.errstate(over="ignore"):  # below the cap sqrt(1 + t^2) >= t in floats too
-        denom = separation * np.maximum(np.sqrt(1.0 + np.minimum(t, 1e150) ** 2), t)
+        t = accel * sep / 2.0
+        denom = sep * np.maximum(np.sqrt(1.0 + np.minimum(t, 1e150) ** 2), t)
         return np.sin(x) / denom, np.cos(x) / 4.0 / denom  # = cos(x)/(4*denom) bitwise
+
+
+def _thermal_ratio(alpha):
+    """coth(pi/alpha) on a checked array alpha >= 0; see ``thermal_ratio``."""
+    hot = alpha > _COTH_LAURENT_CUTOFF
+    warm = (alpha > 0) & ~hot
+    with np.errstate(over="ignore"):  # pi/alpha past the float range only makes e = 0
+        y = math.pi / np.where(warm, alpha, 1.0)
+    e = np.exp(-2.0 * y)
+    laurent = np.where(hot, alpha, 1.0)
+    return np.where(hot, laurent / math.pi + math.pi / (3.0 * laurent),
+                    np.where(warm, 1.0 + 2.0 * e / (-np.expm1(-2.0 * y)), 1.0))
 
 
 def geometric_factor(accel_ratio, separation):
@@ -228,8 +240,7 @@ def geometric_factor(accel_ratio, separation):
     x is the phase length evaluated at omega = 1.  At zero acceleration this
     is the familiar sinc: sin(wL)/(wL).  Accepts scalars or arrays.
     """
-    out = _exchange_factors(accel_ratio, separation)[0]
-    return float(out) if np.ndim(out) == 0 else out
+    return _scalar_or_array(_exchange_factors(*_check_inputs(accel_ratio, separation)[:2])[0])
 
 
 def interaction_strength(accel_ratio, separation):
@@ -241,8 +252,7 @@ def interaction_strength(accel_ratio, separation):
     coherence.  Grows like 1/(4*wL) as wL -> 0, which is why L = 0 is
     rejected.  Accepts scalars or arrays.
     """
-    out = _exchange_factors(accel_ratio, separation)[1]
-    return float(out) if np.ndim(out) == 0 else out
+    return _scalar_or_array(_exchange_factors(*_check_inputs(accel_ratio, separation)[:2])[1])
 
 
 def thermal_ratio(accel_ratio):
@@ -253,33 +263,48 @@ def thermal_ratio(accel_ratio):
     alpha/pi + pi/(3*alpha) is used.  Returns exactly 1.0 at alpha = 0.
     Accepts scalars or arrays.
     """
-    alpha_in = np.asarray(accel_ratio, dtype=float)
-    _require_finite("accel", alpha_in)
-    if np.any(alpha_in < 0):
-        raise InvalidParameterError("acceleration must be >= 0", code="accel-negative")
-    alpha = np.atleast_1d(alpha_in)
-    out = np.ones_like(alpha)
-    hot = alpha > _COTH_LAURENT_CUTOFF
-    warm = (alpha > 0) & ~hot
-    if np.any(warm):
-        y = math.pi / alpha[warm]
-        e = np.exp(-2.0 * y)
-        out[warm] = 1.0 + 2.0 * e / (-np.expm1(-2.0 * y))
-    if np.any(hot):
-        out[hot] = alpha[hot] / math.pi + math.pi / (3.0 * alpha[hot])
-    return float(out[0]) if alpha_in.ndim == 0 else out.reshape(alpha_in.shape)
+    return _scalar_or_array(_thermal_ratio(_check_inputs(accel_ratio)[0]))
+
+
+# the fields of Coefficients (gamma0 aside) as arrays of one broadcast shape
+RateConstants = namedtuple("RateConstants", "a1 a2 b1 b2 d f")
+
+
+def _rate_constants(accel, sep, gamma0, include_interaction) -> RateConstants:
+    """rate_constants on inputs already checked, with no check of the outputs."""
+    accel, sep, gamma0 = (np.asarray(v, dtype=float) for v in (accel, sep, gamma0))
+    with np.errstate(over="ignore"):  # an infinite rate is rejected by the callers
+        b1 = gamma0 / 4.0
+        a1 = b1 * _thermal_ratio(accel)
+        f, d = _exchange_factors(accel, sep)
+        d = np.where(include_interaction, gamma0 * d, 0.0)
+        return RateConstants(*np.broadcast_arrays(a1, f * a1, b1, f * b1, d, f))
+
+
+def rate_constants(
+    accel_ratio, separation, gamma0=1.0, include_interaction=True
+) -> RateConstants:
+    """All rate constants over arrays of parameter points, the array form of ``coefficients``.
+
+    With omega = 1: a1 = (gamma0/4)*coth(pi/alpha), b1 = gamma0/4, a2 = f*a1,
+    b2 = f*b1, and d = gamma0 * interaction_strength, exactly 0.0 where the
+    exchange switch is off.  The inputs broadcast together and are checked once
+    here, as SimConfig checks them; every output must be finite, with the codes
+    Coefficients uses (e.g. ``d-not-finite`` at a subnormal separation).
+    """
+    accel, sep, gamma0 = _check_inputs(accel_ratio, separation, gamma0)
+    rates = _rate_constants(accel, sep, gamma0, include_interaction)
+    for name, value in zip(RateConstants._fields, rates):
+        _require_finite(name, value)
+    return rates
 
 
 def coefficients(config: SimConfig) -> Coefficients:
-    """All rate constants for one parameter point.
+    """All rate constants for one parameter point: the scalar form of ``rate_constants``.
 
-    With omega = 1: a1 = (gamma0/4)*coth(pi/alpha), b1 = gamma0/4,
-    a2 = f*a1, b2 = f*b1, and d = gamma0 * interaction_strength, forced to
-    exactly 0.0 when the exchange switch is off.
+    SimConfig has checked the inputs and Coefficients checks the outputs, so
+    the kernel runs here without its own checks.
     """
-    g0 = config.gamma0
-    b1 = g0 / 4.0
-    a1 = b1 * thermal_ratio(config.accel_ratio)
-    f, d = (float(v) for v in _exchange_factors(config.accel_ratio, config.separation))
-    d = g0 * d if config.include_interaction else 0.0
-    return Coefficients(a1=a1, a2=f * a1, b1=b1, b2=f * b1, d=d, f=f, gamma0=g0)
+    rates = _rate_constants(config.accel_ratio, config.separation, config.gamma0,
+                            config.include_interaction)
+    return Coefficients(*(float(v) for v in rates), gamma0=config.gamma0)

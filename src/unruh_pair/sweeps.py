@@ -7,23 +7,22 @@ maximum concurrence reached during evolution, and a monotonicity classifier
 that detects whether the "more acceleration can mean more entanglement"
 behaviour survives once the exchange term is kept (it does not).
 
-All sweep outputs are deterministic: grid points are independent, results are
-written into index-ordered slots, and the worker count of the rate-sweep pool
-(capped by the UNRUH_PAIR_THREADS environment variable) never changes them.
+All sweep outputs are deterministic: the region mask and the rate sweeps are
+one array evaluation of the closed forms per exchange setting, and the peak
+search refines every point of a sweep together, in one lockstep pass.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .entanglement import (
     concurrence_x,
+    generation_possible,
     generation_rate_product,
     initial_rate_superposition,
     numerical_initial_rate,
@@ -33,14 +32,9 @@ from .errors import (
     HorizonError,
     InvalidParameterError,
 )
-from .params import (
-    Coefficients,
-    SimConfig,
-    _exchange_factors,
-    coefficients,
-    thermal_ratio,
-)
+from .params import Coefficients, SimConfig, coefficients, rate_constants
 from .xstate import (
+    _MAX_SAMPLES,
     XState,
     _population_flow,
     initial_product_eg,
@@ -50,11 +44,9 @@ from .xstate import (
 
 HORIZON_THRESHOLD = 1e-6
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-# dense-sampling and grid ceilings: beyond these the request is a parameter
-# mistake (e.g. wL ~ 1e-9 makes the exchange phase spin ~1e8 times per 1/Gamma0)
-_MAX_SAMPLES = 2_000_000
 # times per array pass of the peak search: bounds its temporaries at any grid size
 _SAMPLE_BLOCK = 1 << 14
+# grid ceiling: beyond it the request is a parameter mistake
 _MAX_REGION_NODES = 4_000_000
 
 # default windows mirroring the published curves
@@ -66,28 +58,11 @@ DEFAULT_REGION_RESOLUTION = 300
 
 
 def worker_count() -> int:
-    """Worker cap from UNRUH_PAIR_THREADS; 0 or unset means all cores."""
-    raw = os.environ.get("UNRUH_PAIR_THREADS", "").strip()
-    if raw == "":
-        return os.cpu_count() or 1
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise InvalidParameterError(
-            f"UNRUH_PAIR_THREADS must be an integer, got {raw!r}", code="threads-invalid"
-        ) from exc
-    if n <= 0:
-        return os.cpu_count() or 1
-    return n
+    """Threads a sweep runs on: always 1, since every sweep is one serial array pass.
 
-
-def _map_indexed(fn, values):
-    """Map fn over values, preserving index order regardless of worker count."""
-    workers = min(worker_count(), len(values))
-    if workers <= 1:
-        return [fn(v) for v in values]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, values))
+    Kept because the benchmark harness (``perfbench/run.py``) records it.
+    """
+    return 1
 
 
 @dataclass(frozen=True)
@@ -160,8 +135,8 @@ def region_scan(
 ) -> RegionMask:
     """Evaluate the generation condition on a rectangular grid.
 
-    The condition a2^2 + d^2 > a1^2 - b1^2 is evaluated vectorially from the
-    closed forms at every node, once with d and once without.
+    ``generation_possible`` on the ``rate_constants`` of every node, once
+    with d and once with d zeroed.
     """
     if isinstance(resolution, tuple):
         n_l, n_a = resolution
@@ -176,27 +151,20 @@ def region_scan(
             f"region grid of {n_l}x{n_a} nodes exceeds the {_MAX_REGION_NODES} ceiling",
             code="resolution-too-large",
         )
-    if not (l_range[0] > 0 and l_range[1] > l_range[0]):
-        raise InvalidParameterError(
-            "separation range must be positive and increasing", code="range-invalid"
-        )
-    if not (a_range[0] > 0 and a_range[1] > a_range[0]):
-        raise InvalidParameterError(
-            "acceleration range must be positive and increasing", code="range-invalid"
-        )
+    for name, (lo, hi) in (("separation", l_range), ("acceleration", a_range)):
+        if not 0 < lo < hi:
+            raise InvalidParameterError(
+                f"{name} range must be positive and increasing", code="range-invalid"
+            )
     omega_l = np.linspace(l_range[0], l_range[1], n_l)
     accel = np.linspace(a_range[0], a_range[1], n_a)
     ll, aa = np.meshgrid(omega_l, accel)
-    a1 = thermal_ratio(aa) / 4.0
-    b1 = 0.25
-    f, d = _exchange_factors(aa, ll)
-    a2 = f * a1
-    rhs = a1 ** 2 - b1 ** 2
+    rates = rate_constants(aa, ll)
     return RegionMask(
         omega_l=omega_l,
         accel=accel,
-        with_interaction=(a2 ** 2 + d ** 2) > rhs,
-        without_interaction=(a2 ** 2) > rhs,
+        with_interaction=generation_possible(rates),
+        without_interaction=generation_possible(rates._replace(d=np.zeros_like(rates.d))),
     )
 
 
@@ -254,28 +222,26 @@ def rate_sweep(
     acceleration and vice versa).  The rate is the raw branch rate, which is
     what the published curves plot (it goes negative where generation fails
     or the initial entanglement degrades).  For the superposition start the
-    closed form falls back to the finite-difference rate at its singular
-    point.
+    closed form is singular for some angles alone; there the sweep falls
+    back to the finite-difference rate, point by point.  Otherwise both
+    curves come from one ``rate_constants`` call per exchange setting.
     """
     axis, values = _sweep_axis(fixed_axis, sweep_range, resolution)
     if initial not in ("product-eg", "superposition"):
         raise InvalidParameterError(
             f"unknown initial state kind {initial!r}", code="init-unknown"
         )
-
-    def rate_for(coeffs: Coefficients) -> float:
+    accel, sep = (values, fixed_value) if axis == "accel_ratio" else (fixed_value, values)
+    sets = [rate_constants(accel, sep, gamma0, with_d) for with_d in (True, False)]
+    try:
         if initial == "product-eg":
-            return generation_rate_product(coeffs)
-        try:
-            return initial_rate_superposition(coeffs, theta, phi)
-        except FormulaSingularError:
-            return numerical_initial_rate(initial_superposition(theta, phi), coeffs)
-
-    def point(value: float) -> tuple[float, float]:
-        on, off = _config_pair(axis, value, fixed_value, gamma0)
-        return rate_for(on), rate_for(off)
-
-    on, off = np.array(_map_indexed(point, values)).T
+            on, off = (generation_rate_product(c) for c in sets)
+        else:
+            on, off = (initial_rate_superposition(c, theta, phi) for c in sets)
+    except FormulaSingularError:
+        state0 = initial_superposition(theta, phi)
+        on, off = np.array([[numerical_initial_rate(state0, c) for c in
+                             _config_pair(axis, v, fixed_value, gamma0)] for v in values]).T
     return SweepResult(
         axis=axis,
         values=values,

@@ -41,6 +41,19 @@ COHERENCE_TOL = 1e-10
 
 # eigenvector-matrix condition number beyond which evolve() falls back to expm
 _EIG_COND_LIMIT = 1e8
+# sample ceiling of trajectories, the oracle and the peak search: beyond it the request
+# is a parameter mistake (e.g. wL ~ 1e-9 makes the exchange phase spin ~1e8 times per
+# 1/Gamma0), rejected before anything is allocated
+_MAX_SAMPLES = 2_000_000
+
+
+def _check_sample_count(n) -> None:
+    if not isinstance(n, (int, np.integer)) or n < 2:
+        raise InvalidParameterError("need at least 2 samples", code="samples-too-few")
+    if n > _MAX_SAMPLES:
+        raise InvalidParameterError(
+            f"{n} samples exceed the ceiling of {_MAX_SAMPLES}", code="samples-too-many"
+        )
 
 
 @dataclass(frozen=True)
@@ -237,8 +250,7 @@ def trajectory(
     Every sample is evolve(state0, coeffs, tau_k) itself: the flow is closed
     form, so there is no step-to-step error accumulation to worry about.
     """
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise InvalidParameterError("need at least 2 samples", code="samples-too-few")
+    _check_sample_count(n)
     if not math.isfinite(tau_max) or tau_max <= 0:
         raise InvalidParameterError("tau_max must be > 0", code="tau-max-nonpositive")
     return [(float(t), evolve(state0, coeffs, float(t))) for t in np.linspace(0.0, tau_max, n)]

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import pytest
@@ -212,6 +213,12 @@ class TestExtremeInputs:
         ["maxc", "--accel", "1", "--sep", "1e300"],
         ["sweep", "--quantity", "rate", "--sep", "1",
          "--sweep-min", "1e-300", "--sweep-max", "1e300"],
+        ["rate", "--accel", "1", "--sep", "1e-300"],
+        ["sweep", "--quantity", "rate", "--accel", "1",
+         "--sweep-min", "1e-300", "--sweep-max", "1", "--points", "5"],
+        ["sweep", "--quantity", "rate", "--init", "superposition", "--theta", "0.5",
+         "--phi", "0.3", "--sep", "1", "--sweep-min", "1e-300", "--sweep-max", "1e300"],
+        ["coeffs", "--accel", "1e155", "--sep", "1e155"],
     ])
     def test_no_overflow_warning_or_traceback(self, argv, capsys):
         with warnings.catch_warnings():
@@ -219,3 +226,24 @@ class TestExtremeInputs:
             code, out, err = run(argv, capsys)
         assert (code, err) == (0, "")
         assert "inf" not in out and "nan" not in out
+
+    def test_subnormal_separation_is_one_coded_line(self, capsys):
+        code, out, err = run(["sweep", "--quantity", "rate", "--sep", "1e-320",
+                              "--points", "5"], capsys)
+        assert (code, out) == (4, "")
+        assert err.startswith("error: d-not-finite:") and err.count("\n") == 1
+
+
+class TestSampleCeiling:
+    @pytest.mark.parametrize("command", ["evolve", "oracle"])
+    def test_rejected_before_allocating(self, command, capsys):
+        tracemalloc.start()
+        try:
+            code, out, err = run([command, "--accel", "1", "--sep", "1",
+                                  "--samples", "2000000000"], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (4, "")
+        assert err.startswith("error: samples-too-many:") and err.count("\n") == 1
+        assert peak < 5_000_000  # bytes: nothing sample-sized was allocated

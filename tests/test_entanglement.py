@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -150,12 +151,17 @@ class TestProductRate:
 
 class TestSuperpositionRate:
     def test_pure_antisymmetric_start(self, rng):
+        # -4(a1 - a2) - 4*sqrt((a1 - a2)^2 - (b1 - b2)^2) to 50 digits, with a2 = f*a1 and
+        # b2 = f*b1 taken exactly: the stored a2 and b2 are rounded, and the cancellation
+        # in the radicand would turn their half-ulp errors into ~1e-7 of the rate
         for _ in range(20):
             c = random_coefficients(rng)
             got = initial_rate_superposition(c, 0.0, 0.7)
-            expected = -4.0 * (c.a1 - c.a2) - 4.0 * math.sqrt(
-                (c.a1 - c.a2) ** 2 - (c.b1 - c.b2) ** 2
-            )
+            with decimal.localcontext() as ctx:
+                ctx.prec = 50
+                a1, b1, f = (decimal.Decimal(v) for v in (c.a1, c.b1, c.f))
+                a2, b2 = f * a1, f * b1
+                expected = float(-4 * (a1 - a2) - 4 * ((a1 - a2) ** 2 - (b1 - b2) ** 2).sqrt())
             assert got == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
     def test_subradiant_protection_at_close_separation(self):

@@ -10,10 +10,12 @@ from unruh_pair import (
     coefficients,
     geometric_factor,
     interaction_strength,
+    rate_constants,
     spectral_density_cross,
     spectral_density_same,
     thermal_ratio,
 )
+from unruh_pair.params import _phase_length
 
 TWO_PI = 2.0 * math.pi
 
@@ -237,3 +239,51 @@ class TestCoefficients:
             Coefficients(a1=0.3, a2=0.2, b1=0.25, b2=0.1, d=0.0, f=0.5)  # a2 != f*a1
         with pytest.raises(InvalidParameterError):
             Coefficients(a1=0.2, a2=0.0, b1=0.25, b2=0.0, d=0.0, f=0.0)  # a1 < b1
+
+
+class TestRateConstants:
+    FIELDS = ("a1", "a2", "b1", "b2", "d", "f")
+
+    def test_scalar_point_is_coefficients_bitwise(self, rng):
+        for _ in range(60):
+            a = float(10.0 ** rng.uniform(-3, 3))
+            ell = float(10.0 ** rng.uniform(-3, 3))
+            g0 = float(rng.choice([0.37, 1.0, 2.5]))
+            with_d = bool(rng.integers(0, 2))
+            c = coefficients(SimConfig(a, ell, g0, with_d))
+            rates = rate_constants(a, ell, g0, with_d)
+            assert tuple(float(v) for v in rates) == tuple(getattr(c, k) for k in self.FIELDS)
+
+    def test_outputs_broadcast_over_inputs(self):
+        rates = rate_constants(np.logspace(-2, 1, 7), 0.3, gamma0=2.0)
+        assert all(np.shape(v) == (7,) for v in rates)
+        assert np.all(rates.b1 == 0.5)
+        grid = rate_constants(np.array([[0.1], [1.0]]), np.array([0.2, 2.0, 20.0]))
+        assert all(np.shape(v) == (2, 3) for v in grid)
+
+    def test_switch_off_gives_positive_zero(self):
+        rates = rate_constants(0.5, np.logspace(-1, 2, 50), include_interaction=False)
+        assert np.all(rates.d == 0.0) and not np.any(np.signbit(rates.d))
+
+    @pytest.mark.parametrize("args, code", [
+        ((np.array([1.0, -1.0]), 1.0), "accel-negative"),
+        ((np.array([1.0, np.inf]), 1.0), "accel-not-finite"),
+        ((1.0, np.array([1.0, 0.0])), "separation-nonpositive"),
+        ((1.0, 1.0, 0.0), "gamma0-nonpositive"),
+        ((np.array([1.0, 2.0]), 1e-320), "d-not-finite"),
+    ])
+    def test_checked_once_at_entry(self, args, code):
+        with pytest.raises(InvalidParameterError) as exc:
+            rate_constants(*args)
+        assert exc.value.code == code
+
+    def test_infinite_exchange_allowed_when_switched_off(self):
+        assert rate_constants(1.0, 1e-320, include_interaction=False).d == 0.0
+
+    def test_phase_length_past_the_float_range(self):
+        # a*L overflows; asinh(aL/2) = log(a) + log(L) keeps the phase finite
+        rates = rate_constants(np.array([1e155, 1e300]), np.array([1e155, 1e10]))
+        assert np.all(rates.f == 0.0) and np.all(rates.d == 0.0)
+        assert np.all(np.isfinite(rates.a1))
+        assert _phase_length(1e155, 1e155) == pytest.approx(
+            2e-155 * (math.log(1e155) + math.log(1e155)), rel=1e-15)

@@ -104,6 +104,44 @@ class TestRateSweep:
             rate_sweep("separation", 0.3, sweep_range=(-1.0, 2.0))
 
 
+class TestArrayPathMatchesScalarPath:
+    @pytest.mark.parametrize("gamma0", [0.37, 1.0, 2.5])
+    @pytest.mark.parametrize("fixed_axis", ["separation", "accel_ratio"])
+    @pytest.mark.parametrize("initial", ["product-eg", "superposition"])
+    def test_rate_sweep_equals_the_per_point_formula(self, rng, gamma0, fixed_axis, initial):
+        from unruh_pair import generation_rate_product, initial_rate_superposition
+        theta, phi = rng.uniform(0.0, math.pi), rng.uniform(-math.pi, math.pi)
+        fixed = float(10.0 ** rng.uniform(-1.5, 1.5))
+        lo = float(10.0 ** rng.uniform(-2.5, -0.5))
+        sw = rate_sweep(fixed_axis, fixed, (lo, lo * 10.0 ** rng.uniform(1.0, 3.5)), 40,
+                        initial=initial, theta=theta, phi=phi, gamma0=gamma0)
+        for x, on, off in zip(sw.values, sw.with_interaction, sw.without_interaction):
+            accel, sep = (x, fixed) if sw.axis == "accel_ratio" else (fixed, x)
+            for got, with_d in ((on, True), (off, False)):
+                c = coefficients(SimConfig(float(accel), float(sep), gamma0, with_d))
+                expected = (generation_rate_product(c) if initial == "product-eg"
+                            else initial_rate_superposition(c, theta, phi))
+                assert got == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    def test_region_scan_equals_per_node_condition(self, rng):
+        lo_l, lo_a = 10.0 ** rng.uniform(-2, -0.5, size=2)
+        mask = region_scan((lo_l, 8.0), (lo_a, 12.0), (30, 25))
+        for i, accel in enumerate(mask.accel):
+            for j, sep in enumerate(mask.omega_l):
+                for with_d, grid in ((True, mask.with_interaction),
+                                     (False, mask.without_interaction)):
+                    c = coefficients(SimConfig(float(accel), float(sep), 1.0, with_d))
+                    if abs(c.a2 ** 2 + c.d ** 2 - (c.a1 ** 2 - c.b1 ** 2)) < 1e-12:
+                        continue  # too close to the boundary to decide
+                    assert bool(grid[i, j]) == generation_possible(c)
+
+    def test_region_scan_past_the_square_range(self):
+        # d passes 1e150 at the smallest separations and a1 at the hottest accelerations
+        mask = region_scan((1e-300, 1e-150), (1e-3, 1e300), 5)
+        assert mask.with_interaction[:, 0].all()
+        assert not mask.without_interaction[-1].any()
+
+
 class TestMaxConcurrence:
     def test_protected_bell_state(self):
         c = coefficients(SimConfig(accel_ratio=0.1, separation=1e-3))
@@ -325,17 +363,3 @@ class TestDeterminism:
         assert np.array_equal(a.with_interaction, b.with_interaction)
         assert np.array_equal(a.without_interaction, b.without_interaction)
 
-    def test_worker_count_does_not_change_values(self, monkeypatch):
-        kw = dict(resolution=8, initial="superposition", theta=0.4, phi=0.9)
-        monkeypatch.setenv("UNRUH_PAIR_THREADS", "1")
-        a = rate_sweep("separation", 0.5, **kw)
-        monkeypatch.setenv("UNRUH_PAIR_THREADS", "4")
-        b = rate_sweep("separation", 0.5, **kw)
-        assert np.array_equal(a.with_interaction, b.with_interaction)
-        assert np.array_equal(a.without_interaction, b.without_interaction)
-
-    def test_bad_thread_setting_rejected(self, monkeypatch):
-        monkeypatch.setenv("UNRUH_PAIR_THREADS", "many")
-        from unruh_pair import worker_count
-        with pytest.raises(InvalidParameterError):
-            worker_count()
