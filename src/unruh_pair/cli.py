@@ -38,8 +38,6 @@ from .entanglement import (
 from .errors import (
     FormulaSingularError,
     HorizonError,
-    InvalidParameterError,
-    InvalidStateError,
     NonConvergenceError,
     SimulationError,
     UsageError,
@@ -211,15 +209,10 @@ _BOOL_KEYS = ("with_d", "gnuplot_hint")
 def _coerce_types(resolved: dict) -> None:
     """Normalize values that arrived as JSON strings/numbers from --config."""
     try:
-        for key in _FLOAT_KEYS:
-            if resolved.get(key) is not None:
-                resolved[key] = float(resolved[key])
-        for key in _INT_KEYS:
-            if resolved.get(key) is not None:
-                resolved[key] = int(resolved[key])
-        for key in _BOOL_KEYS:
-            if resolved.get(key) is not None:
-                resolved[key] = bool(resolved[key])
+        for keys, kind in ((_FLOAT_KEYS, float), (_INT_KEYS, int), (_BOOL_KEYS, bool)):
+            for key in keys:
+                if resolved.get(key) is not None:
+                    resolved[key] = kind(resolved[key])
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad value for {key!r}: {exc}")
 
@@ -478,15 +471,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = parse_cli(argv)
         return _COMMANDS[cfg.command](cfg)
-    except UsageError as exc:
+    except SimulationError as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
-    except (NonConvergenceError, HorizonError, FormulaSingularError) as exc:
-        print(f"error: {exc.code}: {exc}", file=sys.stderr)
-        return _EXIT_NUMERIC
-    except (InvalidParameterError, InvalidStateError, SimulationError) as exc:
-        print(f"error: {exc.code}: {exc}", file=sys.stderr)
-        return _EXIT_INVALID
+        if isinstance(exc, UsageError):
+            return _EXIT_USAGE
+        numeric = (NonConvergenceError, HorizonError, FormulaSingularError)
+        return _EXIT_NUMERIC if isinstance(exc, numeric) else _EXIT_INVALID
     except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)
         return _EXIT_IO

@@ -55,6 +55,20 @@ class ConcurrenceBreakdown:
     c: float
 
 
+def _branches(p_gg, p_ee, p_aa, p_ss, c_as, c_ge):
+    """K1, K2 and the three radicands (r1, r2, p_gg*p_ee) of the X-state concurrence.
+
+    Takes scalars or arrays of one shape; radicands negative by round-off are
+    clipped to zero inside K1 and K2.
+    """
+    r1 = (p_aa - p_ss) ** 2 + 4.0 * c_as.imag ** 2
+    r2 = (p_aa + p_ss) ** 2 - 4.0 * c_as.real ** 2
+    pge = p_gg * p_ee
+    k1 = np.sqrt(np.maximum(r1, 0.0)) - 2.0 * np.sqrt(np.maximum(pge, 0.0))
+    k2 = 2.0 * abs(c_ge) - np.sqrt(np.maximum(r2, 0.0))
+    return k1, k2, (r1, r2, pge)
+
+
 def concurrence_x(state: XState) -> ConcurrenceBreakdown:
     """Concurrence of an X-form state from its two branch functions.
 
@@ -62,17 +76,15 @@ def concurrence_x(state: XState) -> ConcurrenceBreakdown:
     anything more negative means the state is not positive semidefinite and
     is rejected.
     """
-    r1 = (state.p_aa - state.p_ss) ** 2 + 4.0 * state.c_as.imag ** 2
-    r2 = (state.p_aa + state.p_ss) ** 2 - 4.0 * state.c_as.real ** 2
-    pge = state.p_gg * state.p_ee
-    for radicand in (r1, r2, pge):
+    k1, k2, radicands = _branches(state.p_gg, state.p_ee, state.p_aa, state.p_ss,
+                                  state.c_as, state.c_ge)
+    for radicand in radicands:
         if radicand < RADICAND_TOL:
             raise InvalidStateError(
                 f"concurrence radicand {radicand:.3e} < {RADICAND_TOL}: state not positive",
                 code="radicand-negative",
             )
-    k1 = math.sqrt(max(r1, 0.0)) - 2.0 * math.sqrt(max(pge, 0.0))
-    k2 = 2.0 * abs(state.c_ge) - math.sqrt(max(r2, 0.0))
+    k1, k2 = float(k1), float(k2)
     return ConcurrenceBreakdown(k1=k1, k2=k2, c=max(0.0, k1, k2))
 
 

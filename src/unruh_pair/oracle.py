@@ -31,7 +31,6 @@ from .errors import InvalidParameterError, InvalidStateError, NonConvergenceErro
 from .params import Coefficients
 from .xstate import XState
 
-PRODUCT_BASIS_LABELS = ("|11>", "|10>", "|01>", "|00>")
 OFF_X_TOL = 1e-8
 HALVING_TOL = 1e-8
 
@@ -114,9 +113,26 @@ def build_gkls(coeffs: Coefficients) -> GklsData:
     c_same = _coefficient_block(coeffs.a1, coeffs.b1)
     c_cross = _coefficient_block(coeffs.a2, coeffs.b2)
     omega_cross = coeffs.d * np.diag([1.0, 1.0, 0.0]).astype(complex)
+    # column k is the right-hand side at the k-th unit matrix
+    basis = np.eye(16, dtype=complex).reshape(16, 4, 4)
+    generator, with_free = (
+        _term_sum(basis, c_same, c_cross, coeffs.d, free).reshape(16, 16).T
+        for free in (False, True)
+    )
+    return GklsData(
+        coeffs=coeffs,
+        c_same=c_same,
+        c_cross=c_cross,
+        omega_cross=omega_cross,
+        generator=generator,
+        generator_free=with_free - generator,
+    )
 
+
+def _term_sum(rho, c_same, c_cross, d, include_free):
+    """The literal term-by-term right-hand side, for one rho or a stack of them."""
+    out = np.zeros(rho.shape, dtype=complex)
     blocks = {(1, 1): c_same, (2, 2): c_same, (1, 2): c_cross, (2, 1): c_cross}
-    terms = []
     for (alpha, beta), block in blocks.items():
         for i in range(3):
             for j in range(3):
@@ -125,35 +141,14 @@ def build_gkls(coeffs: Coefficients) -> GklsData:
                     continue
                 s_i = _SIGMA[(alpha, i)]
                 s_j = _SIGMA[(beta, j)]
-                terms.append((w, s_j, s_i, s_i @ s_j))
-
-    def rhs(rho: np.ndarray, include_free: bool) -> np.ndarray:
-        out = np.zeros((4, 4), dtype=complex)
-        for w, s_j, s_i, prod in terms:
-            out += 0.5 * w * (2.0 * (s_j @ rho @ s_i) - prod @ rho - rho @ prod)
-        if coeffs.d != 0.0:
-            out += 1j * coeffs.d * (_EXCHANGE @ rho - rho @ _EXCHANGE)
-        if include_free:
-            out += -1j * (_H_FREE @ rho - rho @ _H_FREE)
-        return out
-
-    generator = np.zeros((16, 16), dtype=complex)
-    gen_with_free = np.zeros((16, 16), dtype=complex)
-    for k in range(16):
-        basis = np.zeros(16, dtype=complex)
-        basis[k] = 1.0
-        m = basis.reshape(4, 4)
-        generator[:, k] = rhs(m, False).reshape(16)
-        gen_with_free[:, k] = rhs(m, True).reshape(16)
-
-    return GklsData(
-        coeffs=coeffs,
-        c_same=c_same,
-        c_cross=c_cross,
-        omega_cross=omega_cross,
-        generator=generator,
-        generator_free=gen_with_free - generator,
-    )
+                out += 0.5 * w * (
+                    2.0 * (s_j @ rho @ s_i) - s_i @ s_j @ rho - rho @ s_i @ s_j
+                )
+    if d != 0.0:
+        out += 1j * d * (_EXCHANGE @ rho - rho @ _EXCHANGE)
+    if include_free:
+        out += -1j * (_H_FREE @ rho - rho @ _H_FREE)
+    return out
 
 
 def gkls_rhs(rho: np.ndarray, data: GklsData, include_free: bool = False) -> np.ndarray:
@@ -168,30 +163,14 @@ def gkls_rhs(rho: np.ndarray, data: GklsData, include_free: bool = False) -> np.
         raise InvalidStateError("rho must be 4x4", code="rho-shape")
     if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
         raise InvalidStateError("rho must be Hermitian", code="rho-not-hermitian")
-    coeffs = data.coeffs
-    out = np.zeros((4, 4), dtype=complex)
-    blocks = {(1, 1): data.c_same, (2, 2): data.c_same,
-              (1, 2): data.c_cross, (2, 1): data.c_cross}
-    for (alpha, beta), block in blocks.items():
-        for i in range(3):
-            for j in range(3):
-                w = block[i, j]
-                if w == 0:
-                    continue
-                s_i = _SIGMA[(alpha, i)]
-                s_j = _SIGMA[(beta, j)]
-                out += 0.5 * w * (
-                    2.0 * (s_j @ rho @ s_i) - s_i @ s_j @ rho - rho @ s_i @ s_j
-                )
-    if coeffs.d != 0.0:
-        out += 1j * coeffs.d * (_EXCHANGE @ rho - rho @ _EXCHANGE)
-    if include_free:
-        out += -1j * (_H_FREE @ rho - rho @ _H_FREE)
-    return out
+    return _term_sum(rho, data.c_same, data.c_cross, data.coeffs.d, include_free)
 
 
 def step_bound(coeffs: Coefficients) -> float:
-    """Largest step the fixed-step integrator accepts for these rates."""
+    """Largest step the fixed-step integrator accepts, and the peak search's sample step.
+
+    At least 40 steps per decay time 1/a1 and 20 per half-turn of the exchange phase.
+    """
     bound = 1.0 / (40.0 * coeffs.a1)
     if coeffs.d != 0.0:
         bound = min(bound, math.pi / (20.0 * abs(coeffs.d)))
@@ -212,14 +191,11 @@ def _validate_dense(rho: np.ndarray) -> np.ndarray:
 
 
 def _rk4(y0: np.ndarray, gen: np.ndarray, n_steps: int, dt: float) -> np.ndarray:
-    y = y0.copy()
-    for _ in range(n_steps):
-        k1 = gen @ y
-        k2 = gen @ (y + 0.5 * dt * k1)
-        k3 = gen @ (y + 0.5 * dt * k2)
-        k4 = gen @ (y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return y
+    """n_steps classical RK4 steps of y' = gen y, as a power of the one-step matrix."""
+    hg = dt * gen
+    one = np.eye(len(gen))
+    step = one + hg @ (one + hg / 2.0 @ (one + hg / 3.0 @ (one + hg / 4.0)))
+    return np.linalg.matrix_power(step, n_steps) @ y0
 
 
 def integrate(

@@ -17,10 +17,12 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .entanglement import (
+    _branches,
     concurrence_x,
     generation_possible,
     generation_rate_product,
@@ -32,11 +34,13 @@ from .errors import (
     HorizonError,
     InvalidParameterError,
 )
+from .oracle import step_bound
 from .params import Coefficients, SimConfig, coefficients, rate_constants
 from .xstate import (
     _MAX_SAMPLES,
     XState,
-    _population_flow,
+    _flow_stack,
+    _x_flow,
     initial_product_eg,
     initial_superposition,
     steady_state,
@@ -46,8 +50,10 @@ HORIZON_THRESHOLD = 1e-6
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # times per array pass of the peak search: bounds its temporaries at any grid size
 _SAMPLE_BLOCK = 1 << 14
-# grid ceiling: beyond it the request is a parameter mistake
+# grid ceilings: beyond them the request is a parameter mistake (a peak-search sweep
+# grows by about 4 kB per point, so 1e5 points stay under 0.5 GB)
 _MAX_REGION_NODES = 4_000_000
+_MAX_SWEEP_POINTS = 100_000
 
 # default windows mirroring the published curves
 DEFAULT_ACCEL_SWEEP = (0.01, 20.0)
@@ -198,6 +204,11 @@ def _sweep_axis(fixed_axis: str, sweep_range, resolution: int) -> tuple[str, np.
         raise InvalidParameterError(
             "resolution must be >= 2", code="resolution-too-small"
         )
+    if resolution > _MAX_SWEEP_POINTS:
+        raise InvalidParameterError(
+            f"{resolution} sweep points exceed the ceiling of {_MAX_SWEEP_POINTS}",
+            code="resolution-too-large",
+        )
     return axis, np.logspace(math.log10(lo), math.log10(hi), resolution)
 
 
@@ -259,42 +270,11 @@ def rate_sweep(
     )
 
 
-def _sampling_step(coeffs: Coefficients) -> float:
-    step = 1.0 / (40.0 * coeffs.a1)
-    if coeffs.d != 0.0:
-        step = min(step, math.pi / (20.0 * abs(coeffs.d)))
-    return step
-
-
-def _flow_concurrence(state0: XState, sets, owner):
-    """Array concurrence: C(taus)[k] is that of the flow of sets[owner[k]] at taus[k].
-
-    Populations come from one einsum over the stacked eigen-decompositions of
-    ``_population_flow`` (a set on its expm route goes through
-    ``flow.propagate``); radicands negative by round-off are clipped to zero.
-    """
-    p0 = state0.populations
-    flows = [_population_flow(c) for c in sets]
-    eig = [f._eig or (np.zeros(4), np.zeros((4, 4)), np.zeros((4, 4))) for f in flows]
-    w, v = np.array([e[0] for e in eig])[owner], np.array([e[1] for e in eig])[owner]
-    q = np.array([e[2] @ p0 for e in eig])[owner]
-    a1, d = np.array([(c.a1, c.d) for c in sets])[owner].T
-    expm = [s for s, f in enumerate(flows) if f._eig is None]
-    slow = np.flatnonzero(np.isin(owner, expm)) if expm else ()
-
-    def c_of(taus):
-        p = np.einsum("kij,kj->ik", v, np.exp(w * taus[:, None]) * q).real
-        for k in slow:
-            p[:, k] = flows[owner[k]].propagate(p0, taus[k])
-        c_as = state0.c_as * np.exp(-4.0 * (a1 + 1j * d) * taus)
-        c_ge = abs(state0.c_ge) * np.exp(-4.0 * a1 * taus)
-        r1 = (p[2] - p[3]) ** 2 + 4.0 * c_as.imag ** 2
-        r2 = (p[2] + p[3]) ** 2 - 4.0 * c_as.real ** 2
-        k1 = np.sqrt(np.maximum(r1, 0.0)) - 2.0 * np.sqrt(np.maximum(p[0] * p[1], 0.0))
-        k2 = 2.0 * c_ge - np.sqrt(np.maximum(r2, 0.0))
-        return np.maximum(np.maximum(k1, k2), 0.0)
-
-    return c_of
+def _concurrence(state0: XState, rows, taus: np.ndarray) -> np.ndarray:
+    """Concurrence of the flow of state0 at taus[k] under row k of a flow stack."""
+    p, c_as, c_ge = _x_flow(state0, rows, taus)
+    k1, k2, _ = _branches(*p.T, c_as, c_ge)
+    return np.maximum(np.maximum(k1, k2), 0.0)
 
 
 def max_concurrence(
@@ -321,17 +301,19 @@ def max_concurrence(
     owner, brackets = [np.empty(0, dtype=int)], [np.empty((0, 4))]
     for s, c in enumerate(sets):
         horizon = tau_max
-        step = _sampling_step(c)
-        if horizon / step > _MAX_SAMPLES:
+        step = step_bound(c)
+        if horizon > _MAX_SAMPLES * step:
             raise InvalidParameterError(
-                f"dense sampling would need {horizon / step:.1e} points "
-                f"(exchange phase step {step:.1e}); reduce tau_max or the exchange strength",
+                f"dense sampling at step {step:.1e} (decay or exchange phase) over "
+                f"tau = {horizon:g} exceeds {_MAX_SAMPLES} points; "
+                "reduce tau_max or the exchange strength",
                 code="sampling-too-fine",
             )
+        one = _flow_stack(state0, [c])
         for attempt in range(attempts):
             n = int(math.ceil(horizon / step)) + 1
             taus = np.linspace(0.0, horizon, n)
-            cs = np.concatenate([_flow_concurrence(state0, [c], np.zeros(len(t), dtype=int))(t)
+            cs = np.concatenate([_concurrence(state0, one.rows(np.zeros(len(t), dtype=int)), t)
                                  for t in np.split(taus, range(_SAMPLE_BLOCK, n, _SAMPLE_BLOCK))])
             still_rising = cs[-1] >= HORIZON_THRESHOLD and cs[-1] > cs[-2]
             if not still_rising:
@@ -350,10 +332,12 @@ def max_concurrence(
                                   taus[peaks], cs[peaks]], 1))
     owner, (lo, hi, tau_s, c_s) = np.concatenate(owner), np.concatenate(brackets).T
     tau_k, c_k = np.empty(len(lo)), np.empty(len(lo))
+    stack = _flow_stack(state0, sets)
     for i in range(0, len(lo), _SAMPLE_BLOCK):
         part = slice(i, i + _SAMPLE_BLOCK)
-        f = _flow_concurrence(state0, sets, owner[part])
-        tau_k[part], c_k[part] = _golden_max_lockstep(f, lo[part], hi[part])
+        rows = stack.rows(owner[part])
+        tau_k[part], c_k[part] = _golden_max_lockstep(
+            partial(_concurrence, state0, rows), lo[part], hi[part])
     # the brackets are not guaranteed unimodal; never return less than a sample
     tau_k, c_k = np.where(c_k >= c_s, tau_k, tau_s), np.maximum(c_k, c_s)
     order = np.lexsort((-c_k, owner))  # stable: the earliest bracket wins ties

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -157,6 +158,10 @@ class DiagonalGenerator:
         m = np.array(self.matrix, dtype=float)
         if m.shape != (4, 4):
             raise InvalidStateError("generator must be 4x4", code="generator-shape")
+        if not np.isfinite(m).all():
+            raise InvalidStateError(
+                "generator entries overflow the float range", code="generator-not-finite"
+            )
         scale = max(1.0, float(np.max(np.abs(m))))
         if np.max(np.abs(m.sum(axis=0))) > 1e-12 * scale:
             raise InvalidStateError(
@@ -192,32 +197,62 @@ def diagonal_generator(coeffs: Coefficients) -> DiagonalGenerator:
     )
 
 
-class _PopulationFlow:
-    """Exact propagator p(tau) = exp(M*tau) p0 for one coefficient set."""
+class _FlowStack(namedtuple("_FlowStack", "w v q a1 d expm")):
+    """Flow data of a start under one coefficient set, or stacked on a leading axis.
 
-    def __init__(self, coeffs: Coefficients, force_expm: bool = False):
-        self.matrix = diagonal_generator(coeffs).matrix
-        self._eig = None
-        if not force_expm:
-            try:
-                w, v = np.linalg.eig(self.matrix)
-                vinv = np.linalg.inv(v)
-                cond = np.linalg.norm(v, 2) * np.linalg.norm(vinv, 2)
-                if cond < _EIG_COND_LIMIT:
-                    self._eig = (w, v, vinv)
-            except np.linalg.LinAlgError:
-                pass
+    Eigenvalues w and eigenvectors v of the rate matrix, q = v^-1 p0, and the
+    coherence rates a1, d; ``expm`` maps each entry on the scaling-and-squaring
+    route (zeros in w, v, q) to its rate matrix.
+    """
 
-    def propagate(self, p0: np.ndarray, tau: float) -> np.ndarray:
-        if self._eig is not None:
-            w, v, vinv = self._eig
-            return (v @ (np.exp(w * tau) * (vinv @ p0))).real
-        return scipy.linalg.expm(self.matrix * tau) @ p0
+    def rows(self, owner: np.ndarray) -> _FlowStack:
+        """Row k is entry owner[k] of this stack."""
+        slow = np.flatnonzero(np.isin(owner, list(self.expm))) if self.expm else ()
+        return _FlowStack(*(x[owner] for x in self[:5]), {k: self.expm[owner[k]] for k in slow})
 
 
 @lru_cache(maxsize=512)
-def _population_flow(coeffs: Coefficients) -> _PopulationFlow:
-    return _PopulationFlow(coeffs)
+def _population_flow(coeffs: Coefficients, force_expm: bool = False):
+    """(w, v, v^-1, None) of one set's rate matrix M, or zeros and M itself on the
+    expm route, taken when the eigenvector matrix is too ill-conditioned."""
+    m = diagonal_generator(coeffs).matrix
+    if not force_expm:
+        try:
+            w, v = np.linalg.eig(m)
+            vinv = np.linalg.inv(v)
+            if np.linalg.norm(v, 2) * np.linalg.norm(vinv, 2) < _EIG_COND_LIMIT:
+                return w, v, vinv, None
+        except np.linalg.LinAlgError:
+            pass
+    return np.zeros(4), np.zeros((4, 4)), np.zeros((4, 4)), m
+
+
+def _flow_rows(state0: XState, coeffs: Coefficients) -> _FlowStack:
+    """The flow data of state0 under one set."""
+    w, v, vinv, m = _population_flow(coeffs)
+    return _FlowStack(w, v, vinv @ state0.populations, coeffs.a1, coeffs.d,
+                      {} if m is None else {(): m})
+
+
+def _flow_stack(state0: XState, sets) -> _FlowStack:
+    """The flow data of state0 under every set of ``sets``, stacked: entry s for sets[s]."""
+    one = [_flow_rows(state0, c) for c in sets]
+    return _FlowStack(*(np.array([r[i] for r in one]) for i in range(5)),
+                      expm={s: r.expm[()] for s, r in enumerate(one) if r.expm})
+
+
+def _x_flow(state0: XState, rows: _FlowStack, tau: np.ndarray):
+    """Populations (..., 4), rho_AS and rho_GE of the exact flow at proper times tau.
+
+    ``rows`` holds one set (tau 0-d) or one set per sample (tau of the same
+    shape); entries on the expm route are propagated one by one.
+    """
+    p = np.einsum("...ij,...j->...i", rows.v, np.exp(rows.w * tau[..., None]) * rows.q).real
+    for k, m in rows.expm.items():
+        p[k] = scipy.linalg.expm(m * tau[k]) @ state0.populations
+    c_as = state0.c_as * np.exp(-4.0 * (rows.a1 + 1j * rows.d) * tau)
+    c_ge = state0.c_ge * np.exp(-4.0 * rows.a1 * tau)
+    return p, c_as, c_ge
 
 
 def evolve(state0: XState, coeffs: Coefficients, tau: float) -> XState:
@@ -232,13 +267,13 @@ def evolve(state0: XState, coeffs: Coefficients, tau: float) -> XState:
         raise InvalidParameterError("tau must be >= 0", code="tau-negative")
     if tau == 0.0:
         return state0
-    flow = _population_flow(coeffs)
-    p = flow.propagate(state0.populations, tau)
-    c_as = state0.c_as * cmath.exp(-4.0 * (coeffs.a1 + 1j * coeffs.d) * tau)
-    c_ge = state0.c_ge * math.exp(-4.0 * coeffs.a1 * tau)
+    if tau * (16.0 * coeffs.a1 + 4.0 * abs(coeffs.d)) > 1e300:  # |w| <= 16*a1
+        raise InvalidParameterError(f"tau = {tau:g} overflows the exponents of the flow",
+                                    code="tau-overflow")
+    p, c_as, c_ge = _x_flow(state0, _flow_rows(state0, coeffs), np.asarray(tau))
     return XState(
         p_gg=float(p[0]), p_ee=float(p[1]), p_aa=float(p[2]), p_ss=float(p[3]),
-        c_as=c_as, c_ge=c_ge,
+        c_as=complex(c_as), c_ge=complex(c_ge),
     )
 
 

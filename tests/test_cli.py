@@ -227,6 +227,19 @@ class TestExtremeInputs:
         assert (code, err) == (0, "")
         assert "inf" not in out and "nan" not in out
 
+    @pytest.mark.parametrize("argv, error", [
+        (["steady", "--accel", "1", "--sep", "1", "--gamma0", "1e308"], "generator-not-finite"),
+        (["maxc", "--accel", "1e308", "--sep", "1"], "sampling-too-fine"),
+        (["maxc", "--accel", "1", "--sep", "1", "--gamma0", "1e308"], "sampling-too-fine"),
+        (["evolve", "--accel", "1e308", "--sep", "1", "--samples", "3"], "tau-overflow"),
+    ])
+    def test_overflowed_rates_are_one_coded_line(self, argv, error, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(argv, capsys)
+        assert (code, out) == (4, "")
+        assert err.startswith(f"error: {error}:") and err.count("\n") == 1
+
     def test_subnormal_separation_is_one_coded_line(self, capsys):
         code, out, err = run(["sweep", "--quantity", "rate", "--sep", "1e-320",
                               "--points", "5"], capsys)
@@ -247,3 +260,16 @@ class TestSampleCeiling:
         assert (code, out) == (4, "")
         assert err.startswith("error: samples-too-many:") and err.count("\n") == 1
         assert peak < 5_000_000  # bytes: nothing sample-sized was allocated
+
+    @pytest.mark.parametrize("quantity", ["rate", "maxc"])
+    def test_sweep_points_rejected_before_allocating(self, quantity, capsys):
+        tracemalloc.start()
+        try:
+            code, out, err = run(["sweep", "--quantity", quantity, "--sep", "0.3",
+                                  "--points", "100000000"], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (4, "")
+        assert err.startswith("error: resolution-too-large:") and err.count("\n") == 1
+        assert peak < 5_000_000  # bytes: the axis was never allocated

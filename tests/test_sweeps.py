@@ -22,9 +22,15 @@ from unruh_pair import (
     rate_sweep,
     region_scan,
 )
-from unruh_pair.sweeps import _SAMPLE_BLOCK, _flow_concurrence
+from unruh_pair.sweeps import _SAMPLE_BLOCK, _concurrence
+from unruh_pair.xstate import _flow_stack
 
 from conftest import random_coefficients, random_x_state
+
+
+def flow_concurrence(s0, sets, owner, taus):
+    """The peak search's array concurrence at taus[k] under sets[owner[k]]."""
+    return _concurrence(s0, _flow_stack(s0, sets).rows(owner), taus)
 
 
 class TestRegionScan:
@@ -102,6 +108,10 @@ class TestRateSweep:
             rate_sweep("frequency", 1.0)
         with pytest.raises(InvalidParameterError):
             rate_sweep("separation", 0.3, sweep_range=(-1.0, 2.0))
+        with pytest.raises(InvalidParameterError) as exc:
+            rate_sweep("separation", 0.3, resolution=100_001)
+        assert exc.value.code == "resolution-too-large"
+        assert len(rate_sweep("separation", 0.3, resolution=100_000).values) == 100_000
 
 
 class TestArrayPathMatchesScalarPath:
@@ -180,7 +190,7 @@ class TestMaxConcurrence:
         s0 = initial_product_eg()
         c_max, _ = max_concurrence(s0, c, tau_max=20.0)
         taus = np.arange(0.0, 20.0, 1.0 / (40.0 * c.a1))
-        samples = _flow_concurrence(s0, [c], np.zeros(len(taus), dtype=int))(taus)
+        samples = flow_concurrence(s0, [c], np.zeros(len(taus), dtype=int), taus)
         assert np.all(c_max >= samples - 1e-12)
         for k in rng.choice(len(taus), 5, replace=False):
             assert samples[k] == pytest.approx(
@@ -225,7 +235,7 @@ class TestMaxConcurrence:
             s0 = random_x_state(rng)
             owner = rng.integers(0, len(sets), size=40)
             taus = rng.uniform(0.0, 5.0, size=40)
-            fast = _flow_concurrence(s0, sets, owner)(taus)
+            fast = flow_concurrence(s0, sets, owner, taus)
             slow = [concurrence_x(evolve(s0, sets[s], float(t))).c for s, t in zip(owner, taus)]
             np.testing.assert_allclose(fast, slow, rtol=0.0, atol=1e-13)
 
@@ -240,14 +250,14 @@ class TestMaxConcurrence:
         assert empty[0].shape == empty[1].shape == (0,)
 
     def test_expm_route_is_searched_in_the_same_batch(self, monkeypatch):
-        from unruh_pair import sweeps, xstate
+        from unruh_pair import xstate
         sets = [coefficients(SimConfig(accel_ratio=a, separation=0.5, include_interaction=with_d))
                 for a in (0.5, 2.0) for with_d in (True, False)]
         s0 = initial_superposition(0.4, 1.1)
         ref_c, ref_t = max_concurrence(s0, sets)
-        forced = {sets[1], sets[2]}
-        monkeypatch.setattr(sweeps, "_population_flow",
-                            lambda c: xstate._PopulationFlow(c, force_expm=c in forced))
+        forced, flow = {sets[1], sets[2]}, xstate._population_flow
+        monkeypatch.setattr(xstate, "_population_flow", lambda c: flow(c, c in forced))
+        assert set(_flow_stack(s0, sets).expm) == {1, 2}
         got_c, got_t = max_concurrence(s0, sets)
         np.testing.assert_allclose(got_c, ref_c, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(got_t, ref_t, rtol=0.0, atol=1e-6)

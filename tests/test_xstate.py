@@ -6,6 +6,7 @@ import pytest
 from unruh_pair import (
     Coefficients,
     DegenerateGeneratorError,
+    DiagonalGenerator,
     InvalidParameterError,
     InvalidStateError,
     SimConfig,
@@ -19,7 +20,8 @@ from unruh_pair import (
     steady_state,
     trajectory,
 )
-from unruh_pair.xstate import _PopulationFlow
+from unruh_pair import xstate
+from unruh_pair.xstate import _flow_rows, _population_flow, _x_flow
 
 from conftest import random_coefficients, random_x_state
 
@@ -98,6 +100,14 @@ class TestDiagonalGenerator:
             off = m - np.diag(np.diag(m))
             assert off.min() >= 0.0
 
+    def test_overflowed_entries_rejected(self):
+        # the columns sum to NaN, which slips past every comparison
+        m = np.array([[-np.inf, 0.0, 1.0, np.inf], [0.0, -1.0, 0.0, 1.0],
+                      [np.inf, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, -np.inf]])
+        with pytest.raises(InvalidStateError) as exc:
+            DiagonalGenerator(matrix=m)
+        assert exc.value.code == "generator-not-finite"
+
 
 class TestEvolve:
     def test_zero_time_is_identity(self, rng):
@@ -159,17 +169,20 @@ class TestEvolve:
         assert s.populations == pytest.approx(expected, abs=1e-10)
         assert s.populations == pytest.approx(steady_state(c).populations, abs=1e-10)
 
-    def test_eigen_and_expm_routes_agree(self, rng):
+    def test_eigen_and_expm_routes_agree(self, rng, monkeypatch):
         for _ in range(10):
             c = random_coefficients(rng)
-            p0 = random_x_state(rng).populations
-            eig_flow = _PopulationFlow(c)
-            expm_flow = _PopulationFlow(c, force_expm=True)
-            assert eig_flow._eig is not None
+            s = random_x_state(rng)
+            assert _population_flow(c)[3] is None  # the eigen route
+            eig_rows = _flow_rows(s, c)
+            with monkeypatch.context() as m:
+                m.setattr(xstate, "_population_flow", lambda c: _population_flow(c, True))
+                expm_rows = _flow_rows(s, c)
+            assert expm_rows.expm
             for tau in (0.2, 2.0):
-                assert eig_flow.propagate(p0, tau) == pytest.approx(
-                    expm_flow.propagate(p0, tau), abs=1e-12
-                )
+                p_eig, _, _ = _x_flow(s, eig_rows, np.asarray(tau))
+                p_expm, _, _ = _x_flow(s, expm_rows, np.asarray(tau))
+                assert p_eig == pytest.approx(p_expm, abs=1e-12)
 
 
 class TestTrajectory:
