@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import io
 import json
 import sys
 from dataclasses import dataclass
@@ -38,6 +37,7 @@ from .entanglement import (
 from .errors import (
     FormulaSingularError,
     HorizonError,
+    InvalidParameterError,
     NonConvergenceError,
     SimulationError,
     UsageError,
@@ -269,12 +269,31 @@ def _initial_state(cfg: RunConfig) -> XState:
 # emit
 
 
-def _format_value(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return _FLOAT_FMT.format(float(v))
+_BOOL_TEXT = {"csv": ("0", "1"), "json": ("false", "true")}
+_FLOAT_TEXT = {"csv": _FLOAT_FMT.format, "json": json.dumps}  # json: repr, NaN, Infinity
+
+
+def _cells(col, fmt: str) -> list[str]:
+    """Texts of one column's cells; a float is formatted once per distinct bit pattern.
+
+    An array's dtype decides how its cells are written; a list's cells each
+    keep their own type, as numpy would not.
+    """
+    kind = col.dtype.kind if isinstance(col, np.ndarray) else None
+    if kind not in ("b", "i", "u", "f"):
+        kinds = {"b" if isinstance(v, (bool, np.bool_)) else
+                 "i" if isinstance(v, (int, np.integer)) else "f" for v in col}
+        if len(kinds) > 1:
+            return [_cells([v], fmt)[0] for v in col]
+        kind = kinds.pop() if kinds else "f"
+    if kind == "b":
+        return np.array(_BOOL_TEXT[fmt], dtype=object)[np.asarray(col, dtype=np.intp)].tolist()
+    if kind in "iu":
+        return [str(int(v)) for v in col]
+    x = np.ascontiguousarray(col, dtype=float).ravel()
+    _, first, inverse = np.unique(x.view(np.uint64), return_index=True, return_inverse=True)
+    texts = np.array([_FLOAT_TEXT[fmt](v) for v in x[first].tolist()], dtype=object)
+    return texts[inverse].tolist()
 
 
 def emit(meta: dict, columns: dict, fmt: str, path: str | None) -> None:
@@ -283,29 +302,21 @@ def emit(meta: dict, columns: dict, fmt: str, path: str | None) -> None:
     CSV: header row of column names, one row per entry, LF line endings,
     '.' decimal separator, floats with 17 significant digits, meta omitted.
     JSON: object with 'meta' (full configuration echo including the package
-    version) and 'data' (column-oriented arrays), keys sorted.
+    version) and 'data' (column-oriented arrays), keys sorted: the text of
+    ``json.dumps({"meta": meta, "data": data}, sort_keys=True, indent=1)``.
+    Both are written column by column, not cell by cell.
     """
-    if fmt == "csv":
-        buf = io.StringIO()
-        names = list(columns)
-        buf.write(",".join(names) + "\n")
-        n = len(next(iter(columns.values()))) if columns else 0
-        cols = [columns[name] for name in names]
-        for k in range(n):
-            buf.write(",".join(_format_value(col[k]) for col in cols) + "\n")
-        text = buf.getvalue()
-    elif fmt == "json":
-        data = {
-            name: [
-                bool(v) if isinstance(v, (bool, np.bool_)) else
-                int(v) if isinstance(v, (int, np.integer)) else float(v)
-                for v in col
-            ]
-            for name, col in columns.items()
-        }
-        text = json.dumps({"meta": meta, "data": data}, sort_keys=True, indent=1) + "\n"
-    else:
+    if fmt not in ("csv", "json"):
         raise UsageError(f"unknown format {fmt!r}")
+    cells = {name: _cells(col, fmt) for name, col in columns.items()}
+    if fmt == "csv":
+        text = "\n".join([",".join(cells), *map(",".join, zip(*cells.values()))]) + "\n"
+    else:  # the layout json.dumps gives at indent=1, with "data" (sorted first) written here
+        arrays = (json.dumps(name) + (": [\n   " + ",\n   ".join(col) + "\n  ]" if col else ": []")
+                  for name, col in sorted(cells.items()))
+        data = "{\n  " + ",\n  ".join(arrays) + "\n }" if cells else "{}"
+        rest = json.dumps({"data": 0, "meta": meta}, sort_keys=True, indent=1)
+        text = '{\n "data": ' + data + rest[len('{\n "data": 0'):] + "\n"
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
@@ -393,9 +404,9 @@ def _cmd_sweep(cfg: RunConfig) -> int:
             state0=_initial_state(cfg), tau_max=cfg.tau_max, gamma0=cfg.gamma0,
         )
     cols = {
-        "x": list(result.values),
-        "value_with_d": list(result.with_interaction),
-        "value_without_d": list(result.without_interaction),
+        "x": result.values,
+        "value_with_d": result.with_interaction,
+        "value_without_d": result.without_interaction,
     }
     return _emit(cfg, cols)
 
@@ -424,13 +435,16 @@ def _cmd_steady(cfg: RunConfig) -> int:
 
 def _cmd_oracle(cfg: RunConfig) -> int:
     c = coefficients(_sim_config(cfg))
-    data = build_gkls(c)
     state0 = _initial_state(cfg)
     # /32 keeps the step-halving check comfortable even for a single long
     # segment dominated by the exchange phase rotation
     dt = step_bound(c) / 32.0
+    if dt == 0.0:  # 40*a1 overflowed: so would the dense generator
+        raise InvalidParameterError("the rates overflow the float range of the integrator",
+                                    code="rate-overflow")
     n = cfg.samples
     _check_sample_count(n)
+    data = build_gkls(c)
     taus = np.linspace(0.0, cfg.tau_max, n)
     rho = from_xstate(state0)
     cols = {"tau": [], "max_abs_diff": []}

@@ -29,11 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormulaSingularError, InvalidParameterError, InvalidStateError
-from .params import Coefficients, _scalar_or_array
-from .xstate import XState, evolve
+from .params import Coefficients, RateConstants, _scalar_or_array
+from .xstate import XState, _check_entries, _fail, _flow_rows, _flow_stack, _x_flow
 
 # radicand more negative than this signals a genuinely non-positive state
 RADICAND_TOL = -1e-12
+_RADICAND_MESSAGE = f"concurrence radicand {{:.3e}} < {RADICAND_TOL}: state not positive"
 
 _SY_SY = np.array(
     [
@@ -69,6 +70,12 @@ def _branches(p_gg, p_ee, p_aa, p_ss, c_as, c_ge):
     return k1, k2, (r1, r2, pge)
 
 
+def _check_radicands(radicands) -> None:
+    """concurrence_x's check, on one state's radicands or on arrays of them."""
+    for radicand in radicands:
+        _fail(radicand < RADICAND_TOL, "radicand-negative", _RADICAND_MESSAGE, radicand)
+
+
 def concurrence_x(state: XState) -> ConcurrenceBreakdown:
     """Concurrence of an X-form state from its two branch functions.
 
@@ -78,12 +85,7 @@ def concurrence_x(state: XState) -> ConcurrenceBreakdown:
     """
     k1, k2, radicands = _branches(state.p_gg, state.p_ee, state.p_aa, state.p_ss,
                                   state.c_as, state.c_ge)
-    for radicand in radicands:
-        if radicand < RADICAND_TOL:
-            raise InvalidStateError(
-                f"concurrence radicand {radicand:.3e} < {RADICAND_TOL}: state not positive",
-                code="radicand-negative",
-            )
+    _check_radicands(radicands)
     k1, k2 = float(k1), float(k2)
     return ConcurrenceBreakdown(k1=k1, k2=k2, c=max(0.0, k1, k2))
 
@@ -147,6 +149,14 @@ def generation_possible(coeffs: Coefficients):
     return _scalar_or_array(np.where(big, roots, plain))
 
 
+def _finite_rate(rate):
+    """A rate (scalar or array) once it is known to fit the float range."""
+    if not np.isfinite(rate).all():
+        raise InvalidParameterError("the initial rate overflows the float range",
+                                    code="rate-overflow")
+    return _scalar_or_array(rate)
+
+
 def generation_rate_product(coeffs: Coefficients):
     """Closed-form initial concurrence rate K1'(0) for the |10> start.
 
@@ -156,7 +166,8 @@ def generation_rate_product(coeffs: Coefficients):
     simply stays separable.  Takes a Coefficients (gives a float) or the
     arrays of ``params.rate_constants``.
     """
-    return _scalar_or_array(4.0 * _hypot(coeffs.a2, coeffs.d) - 4.0 * _local_root(coeffs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite_rate(4.0 * _hypot(coeffs.a2, coeffs.d) - 4.0 * _local_root(coeffs))
 
 
 def initial_rate_superposition(coeffs: Coefficients, theta: float, phi: float):
@@ -182,40 +193,63 @@ def initial_rate_superposition(coeffs: Coefficients, theta: float, phi: float):
             "initial concurrence vanishes here; use numerical_initial_rate"
         )
     r0 = math.sqrt(denom_sq)
-    num = (
-        -4.0 * coeffs.a1 * denom_sq
-        + 4.0 * coeffs.a2 * c2t
-        - 2.0 * coeffs.d * s2t ** 2 * math.sin(2.0 * phi)
-    )
-    # the root is sqrt(a1^2 - b1^2)*|1 - f*cos2theta| (a2 = f*a1, b2 = f*b1), taken as a
-    # product: no square to overflow and no cancellation between the two squares
-    root = _local_root(coeffs) * np.abs(1.0 - coeffs.f * c2t)
-    return _scalar_or_array(num / r0 - 4.0 * root)
+    with np.errstate(over="ignore", invalid="ignore"):
+        num = (
+            -4.0 * coeffs.a1 * denom_sq
+            + 4.0 * coeffs.a2 * c2t
+            - 2.0 * coeffs.d * s2t ** 2 * math.sin(2.0 * phi)
+        )
+        # the root is sqrt(a1^2 - b1^2)*|1 - f*cos2theta| (a2 = f*a1, b2 = f*b1), taken as a
+        # product: no square to overflow and no cancellation between the two squares
+        root = _local_root(coeffs) * np.abs(1.0 - coeffs.f * c2t)
+        return _finite_rate(num / r0 - 4.0 * root)
 
 
-def numerical_initial_rate(
-    state0: XState, coeffs: Coefficients, h: float | None = None
-) -> float:
+def numerical_initial_rate(state0: XState, coeffs: Coefficients, h: float | None = None):
     """Finite-difference dC/dtau at tau = 0+, the oracle for the rate formulas.
 
     One-sided differences (the concurrence is clamped at zero from below for
     separable starts, so a two-sided stencil would straddle the kink) with
     Richardson extrapolation over steps h, h/2, h/4; the evaluations use the
     exact closed-form flow, so the only error left is the Taylor remainder.
-    By default h is scaled to the fastest rate in the problem.
+    By default h is scaled to the fastest rate in the problem.  Takes a
+    Coefficients (gives a float) or the arrays of ``params.rate_constants``
+    (gives an array of their shape); every set is evaluated in one array pass
+    per step, and each sample gets the checks ``evolve`` and ``concurrence_x``
+    give it.
     """
-    if h is None:
-        fastest = max(4.0 * (coeffs.a1 + coeffs.b1), 4.0 * abs(coeffs.d), coeffs.gamma0)
-        h = 5e-3 / fastest
-    if not math.isfinite(h) or h <= 0:
-        raise InvalidParameterError("step h must be > 0", code="step-nonpositive")
-    c0 = concurrence_x(state0).c
-    d1, d2, d3 = (
-        (concurrence_x(evolve(state0, coeffs, h / k)).c - c0) / (h / k) for k in (1, 2, 4)
-    )
-    e1 = 2.0 * d2 - d1
-    e2 = 2.0 * d3 - d2
-    return (4.0 * e2 - e1) / 3.0
+    shape = np.shape(coeffs.a1)
+    if not isinstance(coeffs, Coefficients):  # one flat stack; the rates take the input's shape
+        coeffs = RateConstants(*(np.ravel(v) for v in coeffs))
+    a1, b1, d = (np.asarray(v, dtype=float) for v in (coeffs.a1, coeffs.b1, coeffs.d))
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = 16.0 * a1 + 4.0 * np.abs(d)  # above every rate of the flow: |w| <= 16*a1
+        if not np.isfinite(bound).all():
+            raise InvalidParameterError("the rates of the flow overflow the float range",
+                                        code="rate-overflow")
+        if h is None:
+            h = 5e-3 / np.maximum(4.0 * (a1 + b1), 4.0 * np.abs(d))
+        h = np.broadcast_to(h, a1.shape)
+        steps = np.array([h, h / 2.0, h / 4.0])
+        if not (np.isfinite(steps).all() and (steps > 0.0).all()):
+            raise InvalidParameterError("step h must be > 0", code="step-nonpositive")
+        if (h * bound > 1e300).any():
+            raise InvalidParameterError(f"step h = {h.max():g} overflows the exponents of the "
+                                        "flow", code="tau-overflow")
+        # one flow pass per step over every set; one set gets evolve's arithmetic, bit for bit
+        rows = (_flow_rows(state0, coeffs) if isinstance(coeffs, Coefficients)
+                else _flow_stack(state0, coeffs))
+        p, c_as, c_ge = (np.array(x) for x in zip(*(_x_flow(state0, rows, t) for t in steps)))
+        pops = [p[..., i] for i in range(4)]  # each of shape (3, ...), as steps
+        _check_entries(*pops, c_as, c_ge)
+        k1, k2, radicands = _branches(*pops, c_as, c_ge)
+        _check_radicands(radicands)
+        c = np.where(k1 > 0.0, k1, 0.0)
+        c = np.where(k2 > c, k2, c)  # max(0.0, k1, k2), as concurrence_x takes it
+        d1, d2, d3 = (c - concurrence_x(state0).c) / steps
+        e1 = 2.0 * d2 - d1
+        e2 = 2.0 * d3 - d2
+        return _finite_rate(((4.0 * e2 - e1) / 3.0).reshape(shape))
 
 
 def clamped_rate(k1_at_zero: float, raw_rate: float) -> float:

@@ -218,6 +218,7 @@ def integrate(
         raise InvalidParameterError("dt must be > 0", code="step-nonpositive")
     if not math.isfinite(tau_max) or tau_max < 0:
         raise InvalidParameterError("tau_max must be >= 0", code="tau-max-negative")
+    tau_max = float(tau_max)  # a Python float: tau_max / dt may overflow to inf, silently
     bound = step_bound(data.coeffs)
     if dt > bound * (1.0 + 1e-12):
         raise InvalidParameterError(

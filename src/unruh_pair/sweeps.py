@@ -234,8 +234,8 @@ def rate_sweep(
     what the published curves plot (it goes negative where generation fails
     or the initial entanglement degrades).  For the superposition start the
     closed form is singular for some angles alone; there the sweep falls
-    back to the finite-difference rate, point by point.  Otherwise both
-    curves come from one ``rate_constants`` call per exchange setting.
+    back to the finite-difference rate.  Either way both curves come from
+    one ``rate_constants`` call per exchange setting, evaluated as arrays.
     """
     axis, values = _sweep_axis(fixed_axis, sweep_range, resolution)
     if initial not in ("product-eg", "superposition"):
@@ -251,8 +251,7 @@ def rate_sweep(
             on, off = (initial_rate_superposition(c, theta, phi) for c in sets)
     except FormulaSingularError:
         state0 = initial_superposition(theta, phi)
-        on, off = np.array([[numerical_initial_rate(state0, c) for c in
-                             _config_pair(axis, v, fixed_value, gamma0)] for v in values]).T
+        on, off = (numerical_initial_rate(state0, c) for c in sets)
     return SweepResult(
         axis=axis,
         values=values,

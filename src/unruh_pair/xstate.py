@@ -34,7 +34,7 @@ from .errors import (
     InvalidParameterError,
     InvalidStateError,
 )
-from .params import Coefficients
+from .params import Coefficients, RateConstants
 
 TRACE_TOL = 1e-10
 POPULATION_TOL = 1e-12
@@ -57,6 +57,44 @@ def _check_sample_count(n) -> None:
         )
 
 
+def _fail(bad, code: str, message: str, value=None) -> None:
+    """Raise InvalidStateError if any entry of the mask ``bad`` is set; ``value`` at the
+    first set entry fills the message."""
+    if bad is not False and np.any(bad):  # a Python bool for one state's float entries
+        if value is not None:
+            message = message.format(np.ravel(value)[np.argmax(np.ravel(bad))])
+        raise InvalidStateError(message, code=code)
+
+
+def _check_entries(p_gg, p_ee, p_aa, p_ss, c_as, c_ge) -> None:
+    """XState's checks, on one state's entries or on arrays of them, one state per sample.
+
+    Trace, population positivity and the positivity of the two 2x2 X blocks;
+    the first failed check is raised, with the value of its first failing
+    sample.  Passing entries cost only plain arithmetic, which a non-finite
+    entry never passes.
+    """
+    trace = p_gg + p_ee + p_aa + p_ss - 1.0
+    abs_as, abs_ge = abs(c_as), abs(c_ge)
+    ok = ((abs(trace) <= TRACE_TOL) & (p_gg >= -POPULATION_TOL) & (p_ee >= -POPULATION_TOL)
+          & (p_aa >= -POPULATION_TOL) & (p_ss >= -POPULATION_TOL)
+          & (abs_as * abs_as <= p_aa * p_ss + COHERENCE_TOL)
+          & (abs_ge * abs_ge <= p_gg * p_ee + COHERENCE_TOL))
+    if ok is True or (ok is not False and ok.all()):  # a Python bool for Python floats
+        return
+    with np.errstate(over="ignore", invalid="ignore"):
+        pops = np.array([p_gg, p_ee, p_aa, p_ss], dtype=float)
+        _fail(~(np.isfinite(pops).all(0) & np.isfinite(abs_as) & np.isfinite(abs_ge)),
+              "state-not-finite", "state entries must be finite")
+        _fail(abs(trace) > TRACE_TOL, "trace-deviant", "trace deviates from 1 by {:.3e}", trace)
+        low = pops.min(0)
+        _fail(low < -POPULATION_TOL, "population-negative", "negative population {:.3e}", low)
+        _fail(abs_as ** 2 > p_aa * p_ss + COHERENCE_TOL, "coherence-as-too-large",
+              "|rho_AS|^2 exceeds p_aa*p_ss")
+        _fail(abs_ge ** 2 > p_gg * p_ee + COHERENCE_TOL, "coherence-ge-too-large",
+              "|rho_GE|^2 exceeds p_gg*p_ee")
+
+
 @dataclass(frozen=True)
 class XState:
     """X-form two-atom state in the coupled basis.
@@ -75,27 +113,7 @@ class XState:
     c_ge: complex = 0j
 
     def __post_init__(self):
-        pops = (self.p_gg, self.p_ee, self.p_aa, self.p_ss)
-        if not all(math.isfinite(p) for p in pops) or not all(
-            math.isfinite(abs(c)) for c in (self.c_as, self.c_ge)
-        ):
-            raise InvalidStateError("state entries must be finite", code="state-not-finite")
-        if abs(sum(pops) - 1.0) > TRACE_TOL:
-            raise InvalidStateError(
-                f"trace deviates from 1 by {sum(pops) - 1.0:.3e}", code="trace-deviant"
-            )
-        if min(pops) < -POPULATION_TOL:
-            raise InvalidStateError(
-                f"negative population {min(pops):.3e}", code="population-negative"
-            )
-        if abs(self.c_as) ** 2 > self.p_aa * self.p_ss + COHERENCE_TOL:
-            raise InvalidStateError(
-                "|rho_AS|^2 exceeds p_aa*p_ss", code="coherence-as-too-large"
-            )
-        if abs(self.c_ge) ** 2 > self.p_gg * self.p_ee + COHERENCE_TOL:
-            raise InvalidStateError(
-                "|rho_GE|^2 exceeds p_gg*p_ee", code="coherence-ge-too-large"
-            )
+        _check_entries(self.p_gg, self.p_ee, self.p_aa, self.p_ss, self.c_as, self.c_ge)
 
     @property
     def populations(self) -> np.ndarray:
@@ -158,22 +176,42 @@ class DiagonalGenerator:
         m = np.array(self.matrix, dtype=float)
         if m.shape != (4, 4):
             raise InvalidStateError("generator must be 4x4", code="generator-shape")
-        if not np.isfinite(m).all():
-            raise InvalidStateError(
-                "generator entries overflow the float range", code="generator-not-finite"
-            )
-        scale = max(1.0, float(np.max(np.abs(m))))
-        if np.max(np.abs(m.sum(axis=0))) > 1e-12 * scale:
-            raise InvalidStateError(
-                "generator columns must sum to zero", code="generator-not-tracefree"
-            )
-        off = m - np.diag(np.diag(m))
-        if off.min() < -1e-12 * scale:
-            raise InvalidStateError(
-                "off-diagonal rates must be nonnegative", code="generator-negative-rate"
-            )
+        _check_generators(m)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+
+
+_DIAGONAL = np.eye(4, dtype=bool)
+
+
+def _check_generators(m: np.ndarray) -> None:
+    """DiagonalGenerator's checks on one rate matrix or a stack (..., 4, 4) of them."""
+    if not np.isfinite(m).all():
+        raise InvalidStateError(
+            "generator entries overflow the float range", code="generator-not-finite"
+        )
+    scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+    if np.any(np.abs(m.sum(axis=-2)).max(axis=-1) > 1e-12 * scale):
+        raise InvalidStateError(
+            "generator columns must sum to zero", code="generator-not-tracefree"
+        )
+    off = np.where(_DIAGONAL, 0.0, m)
+    if np.any(off.min(axis=(-2, -1)) < -1e-12 * scale):
+        raise InvalidStateError(
+            "off-diagonal rates must be nonnegative", code="generator-negative-rate"
+        )
+
+
+def _rate_matrices(a1, a2, b1, b2) -> np.ndarray:
+    """The rate matrix M of ``diagonal_generator``, (..., 4, 4) over arrays of rate constants."""
+    zero = a1 * 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # _check_generators rejects overflow
+        return np.array([  # by columns: .T puts the stack axes first and M's rows before columns
+            [-4 * (a1 - b1), zero, 2 * (a1 - b1 - a2 + b2), 2 * (a1 - b1 + a2 - b2)],
+            [zero, -4 * (a1 + b1), 2 * (a1 + b1 - a2 - b2), 2 * (a1 + b1 + a2 + b2)],
+            [2 * (a1 + b1 - a2 - b2), 2 * (a1 - b1 - a2 + b2), -4 * (a1 - a2), zero],
+            [2 * (a1 + b1 + a2 + b2), 2 * (a1 - b1 + a2 - b2), zero, -4 * (a1 + a2)],
+        ], dtype=float).T
 
 
 def diagonal_generator(coeffs: Coefficients) -> DiagonalGenerator:
@@ -184,17 +222,7 @@ def diagonal_generator(coeffs: Coefficients) -> DiagonalGenerator:
     2*(a1 -/+ b1)*(1 -/+ f), i.e. the collective emission/absorption cascades
     through the sub- and superradiant channels.
     """
-    a1, a2, b1, b2 = coeffs.a1, coeffs.a2, coeffs.b1, coeffs.b2
-    return DiagonalGenerator(
-        matrix=np.array(
-            [
-                [-4 * (a1 - b1), 0.0, 2 * (a1 + b1 - a2 - b2), 2 * (a1 + b1 + a2 + b2)],
-                [0.0, -4 * (a1 + b1), 2 * (a1 - b1 - a2 + b2), 2 * (a1 - b1 + a2 - b2)],
-                [2 * (a1 - b1 - a2 + b2), 2 * (a1 + b1 - a2 - b2), -4 * (a1 - a2), 0.0],
-                [2 * (a1 - b1 + a2 - b2), 2 * (a1 + b1 + a2 + b2), 0.0, -4 * (a1 + a2)],
-            ]
-        )
-    )
+    return DiagonalGenerator(matrix=_rate_matrices(coeffs.a1, coeffs.a2, coeffs.b1, coeffs.b2))
 
 
 class _FlowStack(namedtuple("_FlowStack", "w v q a1 d expm")):
@@ -211,20 +239,41 @@ class _FlowStack(namedtuple("_FlowStack", "w v q a1 d expm")):
         return _FlowStack(*(x[owner] for x in self[:5]), {k: self.expm[owner[k]] for k in slow})
 
 
-@lru_cache(maxsize=512)
-def _population_flow(coeffs: Coefficients, force_expm: bool = False):
-    """(w, v, v^-1, None) of one set's rate matrix M, or zeros and M itself on the
-    expm route, taken when the eigenvector matrix is too ill-conditioned."""
-    m = diagonal_generator(coeffs).matrix
+def _eigen_flow(m: np.ndarray, force_expm: bool = False):
+    """(w, v, v^-1, slow) of a stack m (n, 4, 4) of rate matrices, after DiagonalGenerator's checks.
+
+    Eigenvalues w and eigenvectors v of every matrix, in one batched pass; slow
+    marks the matrices whose eigenvector matrix is too ill-conditioned (or
+    fails to decompose), which take the expm route and get zeros in w, v, v^-1.
+    """
+    _check_generators(m)
     if not force_expm:
         try:
             w, v = np.linalg.eig(m)
             vinv = np.linalg.inv(v)
-            if np.linalg.norm(v, 2) * np.linalg.norm(vinv, 2) < _EIG_COND_LIMIT:
-                return w, v, vinv, None
         except np.linalg.LinAlgError:
-            pass
-    return np.zeros(4), np.zeros((4, 4)), np.zeros((4, 4)), m
+            if len(m) > 1:  # one by one: only the failing matrices take the expm route
+                return tuple(np.concatenate(x) for x in zip(*(_eigen_flow(m[k:k + 1])
+                                                              for k in range(len(m)))))
+        else:
+            # spectral norms, the largest singular values, of v and v^-1
+            cond = (np.linalg.svd(v, compute_uv=False)[..., 0]
+                    * np.linalg.svd(vinv, compute_uv=False)[..., 0])
+            slow = ~(cond < _EIG_COND_LIMIT)
+            if slow.any():
+                w[slow], v[slow], vinv[slow] = 0.0, 0.0, 0.0
+            return w, v, vinv, slow
+    n = len(m)
+    return np.zeros((n, 4)), np.zeros((n, 4, 4)), np.zeros((n, 4, 4)), np.ones(n, dtype=bool)
+
+
+@lru_cache(maxsize=512)
+def _population_flow(coeffs: Coefficients, force_expm: bool = False):
+    """(w, v, v^-1, None) of one set's rate matrix M, or zeros and M itself on the
+    expm route: the one-set case of ``_eigen_flow``."""
+    m = _rate_matrices(coeffs.a1, coeffs.a2, coeffs.b1, coeffs.b2)[None]
+    w, v, vinv, slow = _eigen_flow(m, force_expm)
+    return w[0], v[0], vinv[0], (m[0] if slow[0] else None)
 
 
 def _flow_rows(state0: XState, coeffs: Coefficients) -> _FlowStack:
@@ -235,7 +284,17 @@ def _flow_rows(state0: XState, coeffs: Coefficients) -> _FlowStack:
 
 
 def _flow_stack(state0: XState, sets) -> _FlowStack:
-    """The flow data of state0 under every set of ``sets``, stacked: entry s for sets[s]."""
+    """The flow data of state0 under every set, stacked: entry s for set s.
+
+    ``sets`` is a sequence of Coefficients, each through the cached one-set
+    flow, or the 1-d arrays of ``params.rate_constants``, all through one pass
+    of the eigen core.
+    """
+    if isinstance(sets, RateConstants):
+        m = _rate_matrices(sets.a1, sets.a2, sets.b1, sets.b2)
+        w, v, vinv, slow = _eigen_flow(m)
+        return _FlowStack(w, v, vinv @ state0.populations, sets.a1, sets.d,
+                          {s: m[s] for s in np.flatnonzero(slow).tolist()})
     one = [_flow_rows(state0, c) for c in sets]
     return _FlowStack(*(np.array([r[i] for r in one]) for i in range(5)),
                       expm={s: r.expm[()] for s, r in enumerate(one) if r.expm})

@@ -3,9 +3,10 @@ import math
 import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 
-from unruh_pair.cli import RunConfig, main, parse_cli
+from unruh_pair.cli import RunConfig, emit, main, parse_cli
 
 FIG8_ARGS = [
     "rate", "--accel", "0.5", "--sep", "0.3", "--init", "superposition",
@@ -232,6 +233,15 @@ class TestExtremeInputs:
         (["maxc", "--accel", "1e308", "--sep", "1"], "sampling-too-fine"),
         (["maxc", "--accel", "1", "--sep", "1", "--gamma0", "1e308"], "sampling-too-fine"),
         (["evolve", "--accel", "1e308", "--sep", "1", "--samples", "3"], "tau-overflow"),
+        (["sweep", "--quantity", "rate", "--sep", "0.3", "--gamma0", "1e308", "--points", "3"],
+         "rate-overflow"),
+        (["rate", "--accel", "1", "--sep", "1", "--gamma0", "1e308"], "rate-overflow"),
+        (["sweep", "--quantity", "rate", "--sep", "0.3", "--gamma0", "1e308", "--points", "3",
+          "--init", "superposition", "--theta", repr(math.pi / 4), "--phi", "0"], "rate-overflow"),
+        (["oracle", "--accel", "1", "--sep", "1", "--gamma0", "1e308", "--samples", "3"],
+         "rate-overflow"),
+        (["oracle", "--accel", "1", "--sep", "1", "--gamma0", "1e307", "--samples", "3"],
+         "too-many-steps"),
     ])
     def test_overflowed_rates_are_one_coded_line(self, argv, error, capsys):
         with warnings.catch_warnings():
@@ -273,3 +283,73 @@ class TestSampleCeiling:
         assert (code, out) == (4, "")
         assert err.startswith("error: resolution-too-large:") and err.count("\n") == 1
         assert peak < 5_000_000  # bytes: the axis was never allocated
+
+
+def cell_by_cell_csv(columns: dict) -> str:
+    """CSV as emit wrote it before it formatted whole columns: one cell at a time."""
+    def cell(v):
+        if isinstance(v, (bool, np.bool_)):
+            return "1" if v else "0"
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        return "{:.16e}".format(float(v))
+    names = list(columns)
+    n = len(next(iter(columns.values()))) if columns else 0
+    rows = [",".join(cell(columns[name][k]) for name in names) for k in range(n)]
+    return "".join(line + "\n" for line in [",".join(names), *rows])
+
+
+def json_dumps_reference(meta: dict, columns: dict) -> str:
+    data = {name: [bool(v) if isinstance(v, (bool, np.bool_)) else
+                   int(v) if isinstance(v, (int, np.integer)) else float(v) for v in col]
+            for name, col in columns.items()}
+    return json.dumps({"meta": meta, "data": data}, sort_keys=True, indent=1) + "\n"
+
+
+SPECIAL_FLOATS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -2.2e-308,
+                  1.0, 0.1, -1e300, 0.1, 0.0, -0.0, 5e-324]
+TABLES = {
+    "special floats": {"x": np.array(SPECIAL_FLOATS), "y": SPECIAL_FLOATS[::-1]},
+    "every kind": {
+        "f64": np.linspace(-1.0, 1.0, 5), "f32": np.linspace(0.0, 1.0, 5, dtype=np.float32),
+        "bool_arr": np.array([True, False, True, True, False]),
+        "bool_list": [True, False, np.True_, np.False_, True],
+        "int_arr": np.arange(-2, 3), "int_list": [0, -1, 2 ** 70, np.int32(7), 3],
+        "mixed": [1, 2.5, True, np.int64(-4), np.float64(-0.0)],
+        "tuple": (0.5, 1.5, 2.5, 3.5, 4.5),
+    },
+    "no rows": {"a": [], "b": np.array([]), "c": np.array([], dtype=bool)},
+    "no columns": {},
+    "odd names": {"z": [1.0], "a b": [2.0], "\u00e4": [3.0], '"q"': [True], "A": [4]},
+}
+META = {"command": "test", "nested": {"b": [1, 2.5, None], "a": "\u00e4\n\"q\""}, "empty": {},
+        "num": math.inf, "list": []}
+
+
+class TestEmit:
+    @pytest.mark.parametrize("name", list(TABLES))
+    def test_csv_matches_the_cell_by_cell_loop(self, name, capsys):
+        emit(META, TABLES[name], "csv", None)
+        assert capsys.readouterr().out == cell_by_cell_csv(TABLES[name])
+
+    @pytest.mark.parametrize("name", list(TABLES))
+    @pytest.mark.parametrize("meta", [META, {}])
+    def test_json_matches_json_dumps(self, name, meta, capsys):
+        emit(meta, TABLES[name], "json", None)
+        assert capsys.readouterr().out == json_dumps_reference(meta, TABLES[name])
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_every_bit_pattern(self, rng, fmt, capsys):
+        # random float64 bit patterns: NaN payloads, subnormals and repeats included
+        bits = rng.integers(0, 2 ** 64, size=2000, dtype=np.uint64)
+        x = np.concatenate([bits, bits[:1000]]).view(np.float64)
+        columns = {"x": x, "y": x[::-1].copy(), "flag": x > 0}
+        emit({}, columns, fmt, None)
+        expected = (cell_by_cell_csv(columns) if fmt == "csv"
+                    else json_dumps_reference({}, columns))
+        assert capsys.readouterr().out == expected
+
+    def test_file_output_is_the_same_text(self, tmp_path, capsys):
+        path = tmp_path / "t.json"
+        emit(META, TABLES["every kind"], "json", str(path))
+        assert path.read_text(encoding="utf-8") == json_dumps_reference(META, TABLES["every kind"])

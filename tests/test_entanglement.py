@@ -6,6 +6,7 @@ import pytest
 
 from unruh_pair import (
     FormulaSingularError,
+    InvalidParameterError,
     InvalidStateError,
     SimConfig,
     XState,
@@ -20,6 +21,7 @@ from unruh_pair import (
     initial_rate_superposition,
     initial_superposition,
     numerical_initial_rate,
+    rate_constants,
 )
 
 from conftest import random_coefficients, random_x_state
@@ -210,6 +212,51 @@ class TestNumericalRate:
         c = coefficients(SimConfig(accel_ratio=0.3, separation=1e-4))
         rate = numerical_initial_rate(initial_superposition(0.0, 0.0), c)
         assert rate == pytest.approx(0.0, abs=1e-6)
+
+    @pytest.mark.parametrize("start", ["product-eg", "singular", "superposition", "xstate"])
+    @pytest.mark.parametrize("with_d", [True, False])
+    def test_array_form_matches_scalar_calls(self, rng, start, with_d):
+        accel = 10.0 ** rng.uniform(-3.0, 2.5, 30)
+        sep = 10.0 ** rng.uniform(-4.0, 2.5, 30)
+        accel[:2], sep[:2] = 0.05, 1e-4  # the expm route, inside the same stack
+        gamma0 = float(rng.choice([0.37, 1.0, 2.5]))
+        state0 = {"product-eg": initial_product_eg(),
+                  "singular": initial_superposition(math.pi / 4, 0.0),
+                  "superposition": initial_superposition(*rng.uniform(-3.0, 3.0, 2)),
+                  "xstate": random_x_state(rng)}[start]
+        passed, expected = [], []
+        for k in range(30):
+            c = coefficients(SimConfig(float(accel[k]), float(sep[k]), gamma0, with_d))
+            try:
+                expected.append((numerical_initial_rate(state0, c), 4.0 * (c.a1 + c.b1 + abs(c.d))))
+            except InvalidStateError as scalar:  # the array form fails there the same way
+                with pytest.raises(InvalidStateError) as stacked:
+                    numerical_initial_rate(state0, rate_constants(accel[k], sep[k], gamma0, with_d))
+                assert stacked.value.code == scalar.code
+                continue
+            passed.append(k)
+        rates = rate_constants(accel[passed], sep[passed], gamma0, with_d)
+        got = numerical_initial_rate(state0, rates)
+        assert got.shape == (len(passed),) and len(passed) >= 25
+        for value, (want, scale) in zip(got, expected):
+            assert value == pytest.approx(want, abs=1e-10 * scale)
+
+    def test_array_form_keeps_the_input_shape(self):
+        s0 = initial_superposition(math.pi / 4, 0.0)
+        one = numerical_initial_rate(s0, coefficients(SimConfig(0.5, 0.3)))
+        point = numerical_initial_rate(s0, rate_constants(0.5, 0.3))
+        assert isinstance(point, float) and point == pytest.approx(one, rel=1e-12)
+        grid = numerical_initial_rate(s0, rate_constants(np.full((2, 3), 0.5), 0.3))
+        assert grid.shape == (2, 3) and np.all(grid == point)
+
+    def test_array_form_checks_every_sample(self):
+        rates = rate_constants([0.5, 1.0], [1.0, 1.0], [1.0, 1e308])
+        with pytest.raises(InvalidParameterError) as exc:
+            numerical_initial_rate(initial_product_eg(), rates)
+        assert exc.value.code == "rate-overflow"
+        with pytest.raises(InvalidParameterError) as exc:
+            numerical_initial_rate(initial_product_eg(), rates._replace(a1=rates.a1[:1]), h=0.0)
+        assert exc.value.code == "step-nonpositive"
 
     def test_second_branch_never_wins_from_product_start(self, rng):
         c = random_coefficients(rng)

@@ -14,11 +14,13 @@ from unruh_pair import (
     concurrence_x,
     evolve,
     generation_possible,
+    generation_rate_product,
     initial_product_eg,
     initial_superposition,
     max_concurrence,
     max_concurrence_sweep,
     monotonicity_report,
+    rate_constants,
     rate_sweep,
     region_scan,
 )
@@ -150,6 +152,25 @@ class TestArrayPathMatchesScalarPath:
         mask = region_scan((1e-300, 1e-150), (1e-3, 1e300), 5)
         assert mask.with_interaction[:, 0].all()
         assert not mask.without_interaction[-1].any()
+
+
+class TestSingularRateSweep:
+    @pytest.mark.parametrize("fixed_axis", ["separation", "accel_ratio"])
+    def test_singular_start_gives_the_product_rate(self, rng, fixed_axis):
+        # theta = pi/4, phi = 0 is |10> again: the closed form is singular there, the
+        # sweep takes the finite-difference rate, and the start is separable
+        for _ in range(6):
+            fixed = float(10.0 ** rng.uniform(-1.5, 1.5))
+            lo = float(10.0 ** rng.uniform(-2.5, -0.5))
+            gamma0 = float(rng.choice([0.37, 1.0, 2.5]))
+            sw = rate_sweep(fixed_axis, fixed, (lo, lo * 10.0 ** rng.uniform(1.0, 3.5)), 60,
+                            initial="superposition", theta=math.pi / 4, phi=0.0, gamma0=gamma0)
+            accel, sep = (sw.values, fixed) if sw.axis == "accel_ratio" else (fixed, sw.values)
+            for with_d, got in ((True, sw.with_interaction), (False, sw.without_interaction)):
+                rates = rate_constants(accel, sep, gamma0, with_d)
+                scale = 4.0 * (rates.a1 + rates.b1 + np.abs(rates.d))
+                expected = np.maximum(0.0, generation_rate_product(rates))
+                assert np.all(np.abs(got - expected) <= 1e-6 * scale)
 
 
 class TestMaxConcurrence:

@@ -21,7 +21,15 @@ from unruh_pair import (
     trajectory,
 )
 from unruh_pair import xstate
-from unruh_pair.xstate import _flow_rows, _population_flow, _x_flow
+from unruh_pair.params import rate_constants
+from unruh_pair.xstate import (
+    _check_entries,
+    _eigen_flow,
+    _flow_rows,
+    _flow_stack,
+    _population_flow,
+    _x_flow,
+)
 
 from conftest import random_coefficients, random_x_state
 
@@ -74,6 +82,60 @@ class TestInitialStates:
         p = initial_product_eg()
         assert s.p_aa == pytest.approx(p.p_aa, rel=1e-15)
         assert s.c_as == pytest.approx(p.c_as, rel=1e-15)
+
+
+class TestStackedChecks:
+    BAD = [  # (entries, code): one failing check each
+        ((0.5, 0.0, 0.0, 0.6, 0j, 0j), "trace-deviant"),
+        ((0.6, 0.0, 0.5, -0.1, 0j, 0j), "population-negative"),
+        ((0.0, 0.0, 0.5, 0.5, 0.6 + 0j, 0j), "coherence-as-too-large"),
+        ((0.5, 0.5, 0.0, 0.0, 0j, 0.6j), "coherence-ge-too-large"),
+        ((math.nan, 0.0, 0.5, 0.5, 0j, 0j), "state-not-finite"),
+        ((0.0, 0.0, 0.5, 0.5, complex(math.inf, 0.0), 0j), "state-not-finite"),
+    ]
+
+    @pytest.mark.parametrize("entries, code", BAD)
+    def test_arrays_fail_as_their_failing_sample(self, rng, entries, code):
+        with pytest.raises(InvalidStateError) as one:
+            XState(*entries)
+        assert one.value.code == code
+        good = [random_x_state(rng) for _ in range(5)]
+        columns = [[getattr(s, f) for s in good] for f in ("p_gg", "p_ee", "p_aa", "p_ss",
+                                                          "c_as", "c_ge")]
+        for column, value in zip(columns, entries):
+            column[3] = value
+        with pytest.raises(InvalidStateError) as stacked:
+            _check_entries(*(np.array(column) for column in columns))
+        assert (stacked.value.code, str(stacked.value)) == (code, str(one.value))
+
+    def test_good_arrays_pass(self, rng):
+        good = [random_x_state(rng) for _ in range(50)]
+        _check_entries(*(np.array([getattr(s, f) for s in good])
+                         for f in ("p_gg", "p_ee", "p_aa", "p_ss", "c_as", "c_ge")))
+
+    def test_stack_is_the_per_set_flow(self, rng):
+        accel, sep = 10.0 ** rng.uniform(-3.0, 2.5, 40), 10.0 ** rng.uniform(-4.0, 2.5, 40)
+        rates = rate_constants(accel, sep, 1.0, True)
+        s0 = random_x_state(rng)
+        stack = _flow_stack(s0, rates)
+        for k in range(40):
+            c = Coefficients(*(float(v[k]) for v in rates))
+            one = _flow_rows(s0, c)
+            assert (k in stack.expm) == bool(one.expm)
+            for got, want in zip(stack[:3], one[:3]):  # a complex stack rounds differently
+                np.testing.assert_allclose(got[k], want, rtol=0.0,
+                                           atol=1e-13 * max(1.0, np.abs(want).max()))
+
+    def test_stacked_generator_checks(self):
+        m = np.stack([diagonal_generator(coefficients(SimConfig(1.0, 1.0))).matrix] * 3)
+        m[1, 0, 0] = np.inf
+        with pytest.raises(InvalidStateError) as exc:
+            _eigen_flow(m)
+        assert exc.value.code == "generator-not-finite"
+        m[1, 0, 0] = m[0, 0, 0] - 1.0
+        with pytest.raises(InvalidStateError) as exc:
+            _eigen_flow(m)
+        assert exc.value.code == "generator-not-tracefree"
 
 
 class TestDiagonalGenerator:
